@@ -178,6 +178,11 @@ impl Telemetry {
         self.gauges.get(name).copied().unwrap_or(0)
     }
 
+    /// Value of gauge `name`, or `None` when it was never set.
+    pub fn try_gauge(&self, name: &str) -> Option<i64> {
+        self.gauges.get(name).copied()
+    }
+
     /// Records one sample into histogram `name`.
     pub fn observe(&mut self, name: &'static str, v: u64) {
         self.hists.entry(name).or_default().observe(v);
@@ -340,6 +345,8 @@ mod tests {
         assert_eq!(t.counter("a"), 5);
         assert_eq!(t.counter("missing"), 0);
         assert_eq!(t.gauge("g"), -3);
+        assert_eq!(t.try_gauge("g"), Some(-3));
+        assert_eq!(t.try_gauge("missing"), None);
         assert_eq!(t.hist("h").map(Histogram::count), Some(1));
         assert!(!t.is_empty());
     }

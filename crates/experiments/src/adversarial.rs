@@ -31,21 +31,22 @@
 //!    (links repair) but destroyed protection stays destroyed.
 //!
 //! Regimes with a countermeasure run twice — undefended and defended —
-//! so the table directly prices the defence. Every row is measured
-//! through the first-class [`Telemetry`] layer: the counters, the
-//! recovery-latency histogram percentiles, and the `P_act-bk` gauge in
-//! the table are read back from the merged manager + orchestrator
-//! registries, not from ad-hoc row arithmetic. Cells derive their RNG
-//! substreams from the master seed and their own identity, so the sweep
-//! is byte-identical for every `--jobs` count.
+//! so the table directly prices the defence. The sweep is a [`Regime`]
+//! and every row is measured through the first-class [`Telemetry`]
+//! layer: the counters, the recovery-latency histogram percentiles, and
+//! the `P_act-bk` gauge in the table are column projections of the
+//! merged manager + orchestrator registries, not ad-hoc row arithmetic.
+//! Cells derive their RNG substreams from the master seed and their own
+//! identity, so the sweep is byte-identical for every `--jobs` count.
 
 use crate::config::ExperimentConfig;
+use crate::regime::{self, CellOutcome, Column, Regime, Stat, Unit, Value};
 use crate::runner::SchemeKind;
 use drt_core::failure::FailureEvent;
 use drt_core::orchestrator::{RecoveryOrchestrator, RetryPolicy};
-use drt_core::{ConnectionId, DrtpManager, Telemetry, ViewDistortion};
+use drt_core::{DrtpManager, Telemetry, ViewDistortion};
 use drt_net::{LinkId, Network, NodeId};
-use drt_sim::workload::{maintenance_waves, regional_storm, TimelineEvent, TrafficPattern};
+use drt_sim::workload::{maintenance_waves, regional_storm, TrafficPattern};
 use drt_sim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -207,119 +208,41 @@ impl AdversarialConfig {
         }
         out
     }
-}
 
-/// One row of the sweep: a whole hostile campaign under one cell. Every
-/// field below is read back from [`AdversarialRow::telemetry`] — the
-/// row is a projection of the telemetry registry, not a parallel
-/// account.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdversarialRow {
-    /// The cell this row ran.
-    pub cell: AdversarialCell,
-    /// Connections established (`establish.accepted`).
-    pub established: u64,
-    /// Requests the scheme failed to place (`establish.rejected`) —
-    /// under `byzantine-lsa` these are mostly lie-induced setup
-    /// failures.
-    pub rejected: u64,
-    /// Real failure events injected (`inject.events`).
-    pub events: u64,
-    /// Links the events actually disabled (`inject.links_failed`).
-    pub links_failed: u64,
-    /// Primaries whose backup activated (`inject.switched`).
-    pub switched: u64,
-    /// Fabricated failure reports the adversary fired, whether or not
-    /// they landed (`adversary.false_reports`, counted by the manager
-    /// when a lie is acted on and by the vetting seam when it is not).
-    pub false_reports: u64,
-    /// Spurious switchovers the lies caused (`adversary.false_reroutes`
-    /// — zero in a defended arm that vets every report).
-    pub false_reroutes: u64,
-    /// Reports the vetting countermeasure rejected (`reports.rejected`
-    /// plus `reports.rejected_quarantined`).
-    pub reports_rejected: u64,
-    /// Routers quarantined for byzantine reporting
-    /// (`quarantine.routers_entered`).
-    pub routers_quarantined: u64,
-    /// Links quarantined by (advertisement or physical) flap damping
-    /// (`quarantine.links_entered`).
-    pub links_quarantined: u64,
-    /// Connections the orchestrator re-protected
-    /// (`recovery.reprotected`).
-    pub reprotected: u64,
-    /// Connections that exhausted their retries (`recovery.orphaned`).
-    pub orphaned: u64,
-    /// Median re-protection latency in µs (`recovery.latency_us` p50).
-    pub recovery_p50_us: u64,
-    /// Tail re-protection latency in µs (`recovery.latency_us` p95).
-    pub recovery_p95_us: u64,
-    /// `P_act-bk` of the closing probe sweep, in parts per million
-    /// (`sweep.p_act_bk_ppm`); `None` when no probe affected anything.
-    pub p_act_bk_ppm: Option<i64>,
-    /// The cell's merged manager + orchestrator telemetry.
-    pub telemetry: Telemetry,
-}
-
-impl AdversarialRow {
-    /// `P_act-bk` as a fraction, if the closing sweep measured one.
-    pub fn p_act_bk(&self) -> Option<f64> {
-        self.p_act_bk_ppm.map(|ppm| ppm as f64 / 1e6)
-    }
-
-    /// Projects the row fields out of a merged telemetry registry.
-    fn from_telemetry(cell: AdversarialCell, telemetry: Telemetry) -> AdversarialRow {
-        let t = &telemetry;
-        let hist = |p| {
-            t.hist("recovery.latency_us")
-                .map(|h| h.percentile(p))
-                .unwrap_or(0)
-        };
-        AdversarialRow {
-            cell,
-            established: t.counter("establish.accepted"),
-            rejected: t.counter("establish.rejected"),
-            events: t.counter("inject.events"),
-            links_failed: t.counter("inject.links_failed"),
-            switched: t.counter("inject.switched"),
-            false_reports: t.counter("adversary.false_reports"),
-            false_reroutes: t.counter("adversary.false_reroutes"),
-            reports_rejected: t.counter("reports.rejected")
-                + t.counter("reports.rejected_quarantined"),
-            routers_quarantined: t.counter("quarantine.routers_entered"),
-            links_quarantined: t.counter("quarantine.links_entered"),
-            reprotected: t.counter("recovery.reprotected"),
-            orphaned: t.counter("recovery.orphaned"),
-            recovery_p50_us: hist(50),
-            recovery_p95_us: hist(95),
-            p_act_bk_ppm: (t.counter("sweep.affected") > 0).then(|| t.gauge("sweep.p_act_bk_ppm")),
-            telemetry,
+    /// The CI-scale sweep (`campaign --quick`): 40 connections, 3 rounds,
+    /// strengths 1 and 3.
+    pub fn quick() -> Self {
+        AdversarialConfig {
+            connections: 40,
+            events: 3,
+            strengths: vec![1, 3],
+            ..AdversarialConfig::default()
         }
     }
 }
 
-/// Runs the sweep serially. See [`run_adversarial_jobs`].
-pub fn run_adversarial(cfg: &ExperimentConfig, acfg: &AdversarialConfig) -> Vec<AdversarialRow> {
-    run_adversarial_jobs(cfg, acfg, 1)
+/// The adversarial sweep as a [`Regime`]: one cell per
+/// [`AdversarialCell`], each with its own scheme instance and manager.
+#[derive(Debug)]
+pub struct AdversarialCampaign {
+    cfg: ExperimentConfig,
+    acfg: AdversarialConfig,
+    net: Arc<Network>,
 }
 
-/// Runs the sweep on at most `jobs` worker threads, one cell per work
-/// item. Cells derive every RNG substream from the master seed and
-/// their own [`AdversarialCell::tag`], so rows are byte-identical for
-/// every job count.
-pub fn run_adversarial_jobs(
-    cfg: &ExperimentConfig,
-    acfg: &AdversarialConfig,
-    jobs: usize,
-) -> Vec<AdversarialRow> {
-    let net = Arc::new(cfg.build_network().expect("experiment topology"));
-    let net = &net;
-    crate::par::parallel_map(
-        jobs,
-        acfg.cells(),
-        || (),
-        |(), cell| run_cell(cfg, acfg, Arc::clone(net), cell),
-    )
+impl AdversarialCampaign {
+    /// The sweep `acfg` on the experiment network of `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the experiment topology cannot be built.
+    pub fn new(cfg: &ExperimentConfig, acfg: &AdversarialConfig) -> Self {
+        AdversarialCampaign {
+            cfg: cfg.clone(),
+            acfg: acfg.clone(),
+            net: Arc::new(cfg.build_network().expect("experiment topology")),
+        }
+    }
 }
 
 /// The byzantine router set at `strength`: a prefix of one seeded
@@ -327,11 +250,7 @@ pub fn run_adversarial_jobs(
 /// weaker ones and every cell of a sweep attacks the same routers.
 fn pick_byzantine(net: &Network, strength: u32, seed: u64) -> Vec<NodeId> {
     let mut ids: Vec<NodeId> = net.nodes().collect();
-    let mut rng = drt_sim::rng::stream(seed, "byzantine");
-    for i in (1..ids.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        ids.swap(i, j);
-    }
+    regime::shuffle(&mut ids, &mut drt_sim::rng::stream(seed, "byzantine"));
     ids.truncate((strength as usize).min(ids.len()));
     ids.sort();
     ids
@@ -351,41 +270,23 @@ fn crowd_fraction(strength: u32) -> f64 {
     (0.4 + 0.15 * f64::from(strength)).min(0.9)
 }
 
-fn loaded_links(mgr: &DrtpManager) -> Vec<LinkId> {
-    let set: BTreeSet<LinkId> = mgr
-        .connections()
-        .filter(|c| c.state().is_carrying_traffic())
-        .flat_map(|c| c.primary().links().iter().copied())
-        .filter(|&l| !mgr.is_failed(l))
-        .collect();
-    set.into_iter().collect()
-}
-
-fn pick_from(v: &[LinkId], rng: &mut StdRng) -> Option<LinkId> {
-    if v.is_empty() {
-        None
-    } else {
-        Some(v[rng.gen_range(0..v.len())])
-    }
-}
-
 /// The next lie target: a healthy link advertised by a byzantine
 /// router, loaded ones preferred (a lie about an idle link moves
 /// nothing).
 fn pick_lie_target(mgr: &DrtpManager, byzantine: &[NodeId], rng: &mut StdRng) -> Option<LinkId> {
     let byz: BTreeSet<NodeId> = byzantine.iter().copied().collect();
-    let owned_loaded: Vec<LinkId> = loaded_links(mgr)
+    let owned_loaded: Vec<LinkId> = regime::loaded_links(mgr)
         .into_iter()
         .filter(|&l| byz.contains(&mgr.net().link(l).src()))
         .collect();
-    if let Some(l) = pick_from(&owned_loaded, rng) {
+    if let Some(l) = regime::pick(&owned_loaded, rng) {
         return Some(l);
     }
     let owned_healthy: Vec<LinkId> = owned_links(mgr.net(), byzantine)
         .into_iter()
         .filter(|&l| !mgr.is_failed(l))
         .collect();
-    pick_from(&owned_healthy, rng)
+    regime::pick(&owned_healthy, rng)
 }
 
 /// Injects one *real* single-link failure on a loaded link and feeds it
@@ -401,8 +302,7 @@ fn real_failure(
     pick: &mut StdRng,
     inject: &mut StdRng,
 ) {
-    let loaded = loaded_links(mgr);
-    let Some(link) = pick_from(&loaded, pick) else {
+    let Some(link) = regime::pick(&regime::loaded_links(mgr), pick) else {
         return;
     };
     if vet {
@@ -426,174 +326,244 @@ fn real_failure(
     orch.observe_failure(now, &report);
 }
 
-fn run_cell(
-    cfg: &ExperimentConfig,
-    acfg: &AdversarialConfig,
-    net: Arc<Network>,
-    cell: AdversarialCell,
-) -> AdversarialRow {
-    let tag = cell.tag();
-    let mut scheme = cell.scheme.instantiate();
-    let mut mgr = DrtpManager::with_config(Arc::clone(&net), cell.scheme.manager_config());
-    let byzantine = pick_byzantine(&net, cell.strength, acfg.seed);
+impl Regime for AdversarialCampaign {
+    type Cell = AdversarialCell;
+    type Worker = ();
 
-    // The workload: shared by every scheme and defence arm of a regime
-    // (its substreams depend only on seed and strength), so cells differ
-    // only in what is being attacked and whether it fights back.
-    let pattern = if cell.regime == AdversarialRegime::FlashCrowd {
-        let mut crowd_rng = drt_sim::rng::stream(acfg.seed, &format!("crowd-{}", cell.strength));
-        TrafficPattern::flash_crowd(cfg.nodes, crowd_fraction(cell.strength), &mut crowd_rng)
-    } else {
-        TrafficPattern::ut()
-    };
-    if cell.regime == AdversarialRegime::ByzantineLsa {
-        mgr.set_view_distortion(Some(ViewDistortion::for_nodes(net.num_nodes(), &byzantine)));
+    fn cells(&self) -> Vec<AdversarialCell> {
+        self.acfg.cells()
     }
 
-    // Phase 1: establishment — under byzantine-lsa already poisoned, so
-    // the accept/reject counters price the lies at admission time.
-    let scenario = cfg.scenario_config(0.4, pattern).generate(cfg.nodes);
-    let mut established = 0usize;
-    for (_, ev) in scenario.timeline() {
-        if established >= acfg.connections {
-            break;
-        }
-        let TimelineEvent::Arrive(rid) = ev else {
-            continue;
+    fn worker(&self) {}
+
+    fn run_cell(&self, _: &mut (), cell: &AdversarialCell, sweep_jobs: usize) -> CellOutcome {
+        let (cfg, acfg, net) = (&self.cfg, &self.acfg, &self.net);
+        let cell = *cell;
+        let tag = cell.tag();
+        let mut scheme = cell.scheme.instantiate();
+        let mut mgr = DrtpManager::with_config(Arc::clone(net), cell.scheme.manager_config());
+        let byzantine = pick_byzantine(net, cell.strength, acfg.seed);
+
+        // The workload: shared by every scheme and defence arm of a regime
+        // (its substreams depend only on seed and strength), so cells differ
+        // only in what is being attacked and whether it fights back.
+        let pattern = if cell.regime == AdversarialRegime::FlashCrowd {
+            let mut crowd_rng =
+                drt_sim::rng::stream(acfg.seed, &format!("crowd-{}", cell.strength));
+            TrafficPattern::flash_crowd(cfg.nodes, crowd_fraction(cell.strength), &mut crowd_rng)
+        } else {
+            TrafficPattern::ut()
         };
-        let r = scenario.request(rid).expect("valid id");
-        let req = drt_core::routing::RouteRequest::new(
-            ConnectionId::new(rid.index() as u64),
-            r.src,
-            r.dst,
-            scenario.bw_req(),
-        )
-        .with_backups(cfg.backups_per_connection);
-        if mgr.request_connection(&mut *scheme, req).is_ok() {
-            established += 1;
+        if cell.regime == AdversarialRegime::ByzantineLsa {
+            mgr.set_view_distortion(Some(ViewDistortion::for_nodes(net.num_nodes(), &byzantine)));
         }
-    }
 
-    // Phase 2: attack rounds, recovered through the orchestrator.
-    let mut orch = RecoveryOrchestrator::new(net.num_links(), acfg.policy);
-    let mut pick_rng = drt_sim::rng::stream(acfg.seed, &format!("pick-{tag}"));
-    let waves = if cell.regime == AdversarialRegime::RegionalStorm {
-        let mut wave_rng = drt_sim::rng::stream(acfg.seed, &format!("waves-{}", cell.strength));
-        maintenance_waves(&net, 8, &mut wave_rng)
-    } else {
-        Vec::new()
-    };
-    let mut now = SimTime::ZERO;
-    for round in 0..acfg.events {
-        let mut inject_rng =
-            drt_sim::rng::indexed_stream(acfg.seed, &format!("inject-{tag}"), round as u64);
-        match cell.regime {
-            AdversarialRegime::ByzantineLsa => {
-                if cell.defended {
-                    // A byzantine router's advertisements oscillate
-                    // faster than the flap threshold; damping its churn
-                    // quarantines every link it advertises away from
-                    // the re-protection routes computed below.
-                    for l in owned_links(&net, &byzantine) {
-                        for _ in 0..acfg.policy.flap_threshold {
-                            orch.observe_churn(now, l);
+        // Phase 1: establishment — under byzantine-lsa already poisoned, so
+        // the accept/reject counters price the lies at admission time.
+        regime::establish(cfg, &mut mgr, scheme.as_mut(), pattern, acfg.connections);
+
+        // Phase 2: attack rounds, recovered through the orchestrator.
+        let mut orch = RecoveryOrchestrator::new(net.num_links(), acfg.policy);
+        let mut pick_rng = drt_sim::rng::stream(acfg.seed, &format!("pick-{tag}"));
+        let waves = if cell.regime == AdversarialRegime::RegionalStorm {
+            let mut wave_rng = drt_sim::rng::stream(acfg.seed, &format!("waves-{}", cell.strength));
+            maintenance_waves(net, 8, &mut wave_rng)
+        } else {
+            Vec::new()
+        };
+        let mut now = SimTime::ZERO;
+        for round in 0..acfg.events {
+            let mut inject_rng =
+                drt_sim::rng::indexed_stream(acfg.seed, &format!("inject-{tag}"), round as u64);
+            match cell.regime {
+                AdversarialRegime::ByzantineLsa => {
+                    if cell.defended {
+                        // A byzantine router's advertisements oscillate
+                        // faster than the flap threshold; damping its churn
+                        // quarantines every link it advertises away from
+                        // the re-protection routes computed below.
+                        for l in owned_links(net, &byzantine) {
+                            for _ in 0..acfg.policy.flap_threshold {
+                                orch.observe_churn(now, l);
+                            }
+                        }
+                    }
+                    real_failure(
+                        &mut mgr,
+                        &mut orch,
+                        now,
+                        false,
+                        &mut pick_rng,
+                        &mut inject_rng,
+                    );
+                }
+                AdversarialRegime::FalseReports => {
+                    for _ in 0..cell.strength {
+                        let Some(link) = pick_lie_target(&mgr, &byzantine, &mut pick_rng) else {
+                            break;
+                        };
+                        let reporter = mgr.net().link(link).src();
+                        if cell.defended {
+                            // Vetting finds no corroborating evidence (the
+                            // link is healthy): the lie is rejected and the
+                            // liar's suspicion rises toward quarantine. The
+                            // lie is recorded here because it never reaches
+                            // the manager's own counter.
+                            orch.telemetry_mut().incr("adversary.false_reports");
+                            let _ = orch.vet_report(reporter, link, false);
+                        } else if let Ok(report) = mgr.inject_false_report(link, &mut inject_rng) {
+                            // Undefended, the lie is acted on: spurious
+                            // switchovers, and the switched connections
+                            // queue for re-protection exactly as if the
+                            // failure had been real.
+                            orch.observe_failure(now, &report);
+                        }
+                    }
+                    real_failure(
+                        &mut mgr,
+                        &mut orch,
+                        now,
+                        cell.defended,
+                        &mut pick_rng,
+                        &mut inject_rng,
+                    );
+                }
+                AdversarialRegime::FlashCrowd => {
+                    real_failure(
+                        &mut mgr,
+                        &mut orch,
+                        now,
+                        false,
+                        &mut pick_rng,
+                        &mut inject_rng,
+                    );
+                }
+                AdversarialRegime::RegionalStorm => {
+                    let event = if round % 2 == 0 {
+                        storm_event(&mgr, cell.strength as usize, &mut pick_rng)
+                    } else {
+                        let wave = &waves[(round / 2) % waves.len()];
+                        Some(FailureEvent::Batch(
+                            wave.iter().map(|&n| FailureEvent::Node(n)).collect(),
+                        ))
+                    };
+                    if let Some(event) = event {
+                        if let Ok(report) = mgr.inject_event(&event, &mut inject_rng) {
+                            orch.observe_failure(now, &report);
                         }
                     }
                 }
-                real_failure(
-                    &mut mgr,
-                    &mut orch,
-                    now,
-                    false,
-                    &mut pick_rng,
-                    &mut inject_rng,
-                );
             }
-            AdversarialRegime::FalseReports => {
-                for _ in 0..cell.strength {
-                    let Some(link) = pick_lie_target(&mgr, &byzantine, &mut pick_rng) else {
-                        break;
-                    };
-                    let reporter = mgr.net().link(link).src();
-                    if cell.defended {
-                        // Vetting finds no corroborating evidence (the
-                        // link is healthy): the lie is rejected and the
-                        // liar's suspicion rises toward quarantine. The
-                        // lie is recorded here because it never reaches
-                        // the manager's own counter.
-                        orch.telemetry_mut().incr("adversary.false_reports");
-                        let _ = orch.vet_report(reporter, link, false);
-                    } else if let Ok(report) = mgr.inject_false_report(link, &mut inject_rng) {
-                        // Undefended, the lie is acted on: spurious
-                        // switchovers, and the switched connections
-                        // queue for re-protection exactly as if the
-                        // failure had been real.
-                        orch.observe_failure(now, &report);
-                    }
-                }
-                real_failure(
-                    &mut mgr,
-                    &mut orch,
-                    now,
-                    cell.defended,
-                    &mut pick_rng,
-                    &mut inject_rng,
-                );
-            }
-            AdversarialRegime::FlashCrowd => {
-                real_failure(
-                    &mut mgr,
-                    &mut orch,
-                    now,
-                    false,
-                    &mut pick_rng,
-                    &mut inject_rng,
-                );
-            }
-            AdversarialRegime::RegionalStorm => {
-                let event = if round % 2 == 0 {
-                    storm_event(&mgr, cell.strength as usize, &mut pick_rng)
-                } else {
-                    let wave = &waves[(round / 2) % waves.len()];
-                    Some(FailureEvent::Batch(
-                        wave.iter().map(|&n| FailureEvent::Node(n)).collect(),
-                    ))
-                };
-                if let Some(event) = event {
-                    if let Ok(report) = mgr.inject_event(&event, &mut inject_rng) {
-                        orch.observe_failure(now, &report);
+            now = orch.run_to_quiescence(now, &mut mgr, &mut *scheme);
+            if cell.regime == AdversarialRegime::RegionalStorm {
+                // The storm passes: every downed link repairs. Lost and
+                // orphaned protection stays lost — that residue is what the
+                // closing probe prices.
+                let downed: Vec<LinkId> = net
+                    .links()
+                    .map(|l| l.id())
+                    .filter(|&l| mgr.is_failed(l))
+                    .collect();
+                for l in downed {
+                    if mgr.repair_link(l).is_ok() {
+                        orch.observe_repair(now, l);
                     }
                 }
             }
+            now += SimDuration::from_secs(30);
         }
-        now = orch.run_to_quiescence(now, &mut mgr, &mut *scheme);
-        if cell.regime == AdversarialRegime::RegionalStorm {
-            // The storm passes: every downed link repairs. Lost and
-            // orphaned protection stays lost — that residue is what the
-            // closing probe prices.
-            let downed: Vec<LinkId> = net
-                .links()
-                .map(|l| l.id())
-                .filter(|&l| mgr.is_failed(l))
-                .collect();
-            for l in downed {
-                if mgr.repair_link(l).is_ok() {
-                    orch.observe_repair(now, l);
-                }
-            }
+
+        let mut t = mgr.telemetry().clone();
+        t.merge(orch.telemetry());
+        let seed = drt_sim::rng::substream_seed(acfg.seed, &format!("probe-{tag}"));
+        let worst_links = regime::closing_sweep(&mgr, seed, sweep_jobs, &mut t);
+        CellOutcome {
+            telemetry: t,
+            worst_links,
         }
-        now += SimDuration::from_secs(30);
     }
 
-    mgr.assert_invariants();
-    let _ = mgr.sweep_single_failures_recorded(drt_sim::rng::substream_seed(
-        acfg.seed,
-        &format!("probe-{tag}"),
-    ));
+    fn title(&self) -> String {
+        format!(
+            "Adversarial campaign ({} nodes, {} links)",
+            self.net.num_nodes(),
+            self.net.num_links()
+        )
+    }
 
-    let mut telemetry = mgr.telemetry().clone();
-    telemetry.merge(orch.telemetry());
-    AdversarialRow::from_telemetry(cell, telemetry)
+    fn columns(&self) -> Vec<Column<AdversarialCell>> {
+        use Value::{Count, Hist};
+        vec![
+            Column::left("regime", 15, Value::Cell(|c| c.regime.label().into())),
+            Column::left("scheme", 6, Value::Cell(|c| c.scheme.label().into())),
+            Column::right("str", 3, Value::Cell(|c| c.strength.to_string())),
+            Column::right(
+                "def",
+                4,
+                Value::Cell(|c| if c.defended { "yes" } else { "no" }.into()),
+            ),
+            Column::right("estab", 6, Count(&["establish.accepted"])),
+            Column::right("rej", 4, Count(&["establish.rejected"])),
+            Column::right("events", 6, Count(&["inject.events"])),
+            Column::right("links", 6, Count(&["inject.links_failed"])),
+            Column::right("switch", 6, Count(&["inject.switched"])),
+            Column::right("f-rep", 5, Count(&["adversary.false_reports"])),
+            Column::right("f-rr", 6, Count(&["adversary.false_reroutes"])),
+            Column::right(
+                "vetoed",
+                6,
+                Count(&["reports.rejected", "reports.rejected_quarantined"]),
+            ),
+            Column::right(
+                "quar",
+                6,
+                Count(&["quarantine.routers_entered", "quarantine.links_entered"]),
+            ),
+            Column::right("orphan", 6, Count(&["recovery.orphaned"])),
+            Column::right(
+                "rec-p50",
+                9,
+                Hist("recovery.latency_us", Stat::Pct(50), Unit::Auto),
+            ),
+            Column::right(
+                "rec-p95",
+                9,
+                Hist("recovery.latency_us", Stat::Pct(95), Unit::Auto),
+            ),
+            Column::right("P_act-bk", 9, Value::Ppm("sweep.p_act_bk_ppm")),
+        ]
+    }
+
+    fn footer(&self, merged: &Telemetry) -> String {
+        let cells = self.cells();
+        let mut out = String::from("\n");
+        for regime in AdversarialRegime::ALL {
+            if cells.iter().any(|c| c.regime == regime) {
+                out.push_str(&format!(
+                    "  strength under {:<15} = {}\n",
+                    regime.label(),
+                    regime.strength_meaning()
+                ));
+            }
+        }
+        out.push_str(
+            "\nreading guide: byzantine regimes run one undefended and one\n\
+             defended arm per cell (`def`). `f-rep` counts the lies fired,\n\
+             `f-rr` the spurious switchovers they caused, `vetoed` the lies\n\
+             report verification rejected, and `quar` the routers + links the\n\
+             countermeasures quarantined. `orphan` counts connections whose\n\
+             re-protection exhausted its retries; `rec-p50`/`rec-p95` are\n\
+             recovery-latency percentiles from the telemetry histogram, and\n\
+             `P_act-bk` is probed on the post-campaign state. Every column is\n\
+             a projection of the merged telemetry below; the table is\n\
+             deterministic per seed and byte-identical for every --jobs.\n\n\
+             campaign telemetry (merged across cells):\n",
+        );
+        for line in merged.snapshot().lines() {
+            out.push_str(&format!("  {line}\n"));
+        }
+        out
+    }
 }
 
 /// A radius-`radius` storm around a random epicenter with at least one
@@ -615,94 +585,10 @@ fn storm_event(mgr: &DrtpManager, radius: usize, rng: &mut StdRng) -> Option<Fai
     None
 }
 
-/// Merges every row's telemetry into one campaign-wide registry, in
-/// canonical row order (merge is commutative over counters and
-/// histograms; gauges take the last row's value).
-pub fn merged_telemetry(rows: &[AdversarialRow]) -> Telemetry {
-    let mut out = Telemetry::new();
-    for r in rows {
-        out.merge(&r.telemetry);
-    }
-    out
-}
-
-/// Renders the sweep as a table, one row per cell.
-pub fn render(net: &Network, rows: &[AdversarialRow]) -> String {
-    let mut out = format!(
-        "Adversarial campaign ({} nodes, {} links)\n",
-        net.num_nodes(),
-        net.num_links()
-    );
-    out.push_str(&format!(
-        "{:<15} {:<6} {:>3} {:>4} {:>6} {:>4} {:>6} {:>6} {:>6} {:>5} {:>6} {:>6} {:>6} {:>6} {:>9} {:>9} {:>9}\n",
-        "regime",
-        "scheme",
-        "str",
-        "def",
-        "estab",
-        "rej",
-        "events",
-        "links",
-        "switch",
-        "f-rep",
-        "f-rr",
-        "vetoed",
-        "quar",
-        "orphan",
-        "rec-p50",
-        "rec-p95",
-        "P_act-bk"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<15} {:<6} {:>3} {:>4} {:>6} {:>4} {:>6} {:>6} {:>6} {:>5} {:>6} {:>6} {:>6} {:>6} {:>9} {:>9} {:>9}\n",
-            r.cell.regime.label(),
-            r.cell.scheme.label(),
-            r.cell.strength,
-            if r.cell.defended { "yes" } else { "no" },
-            r.established,
-            r.rejected,
-            r.events,
-            r.links_failed,
-            r.switched,
-            r.false_reports,
-            r.false_reroutes,
-            r.reports_rejected,
-            r.routers_quarantined + r.links_quarantined,
-            r.orphaned,
-            fmt_us(r.recovery_p50_us),
-            fmt_us(r.recovery_p95_us),
-            r.p_act_bk()
-                .map(|p| format!("{p:.4}"))
-                .unwrap_or_else(|| "-".into()),
-        ));
-    }
-    out.push('\n');
-    for regime in AdversarialRegime::ALL {
-        if rows.iter().any(|r| r.cell.regime == regime) {
-            out.push_str(&format!(
-                "  strength under {:<15} = {}\n",
-                regime.label(),
-                regime.strength_meaning()
-            ));
-        }
-    }
-    out
-}
-
-fn fmt_us(us: u64) -> String {
-    if us == 0 {
-        "-".into()
-    } else if us >= 1_000_000 {
-        format!("{:.2}s", us as f64 / 1e6)
-    } else {
-        format!("{:.1}ms", us as f64 / 1e3)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regime::{merged, render, run};
 
     fn small() -> (ExperimentConfig, AdversarialConfig) {
         let mut cfg = ExperimentConfig::quick(3.0);
@@ -717,6 +603,10 @@ mod tests {
             ..AdversarialConfig::default()
         };
         (cfg, acfg)
+    }
+
+    fn sum(t: &Telemetry, keys: &[&str]) -> u64 {
+        keys.iter().map(|k| t.counter(k)).sum()
     }
 
     #[test]
@@ -738,29 +628,54 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_per_seed() {
         let (cfg, acfg) = small();
-        let a = run_adversarial(&cfg, &acfg);
-        let b = run_adversarial(&cfg, &acfg);
+        let sweep = AdversarialCampaign::new(&cfg, &acfg);
+        let a = run(&sweep, 1);
+        let b = run(&sweep, 1);
         assert_eq!(a, b);
         let other = AdversarialConfig { seed: 14, ..acfg };
-        let c = run_adversarial(&cfg, &other);
-        assert_ne!(a, c, "different seed must move some field");
+        let other = AdversarialCampaign::new(&cfg, &other);
+        let c = run(&other, 1);
+        assert_ne!(
+            render(&sweep, &a),
+            render(&other, &c),
+            "different seed must move some field"
+        );
     }
 
     #[test]
     fn parallel_sweep_matches_serial() {
         let (cfg, acfg) = small();
-        let serial = run_adversarial_jobs(&cfg, &acfg, 1);
-        let par = run_adversarial_jobs(&cfg, &acfg, 3);
+        let sweep = AdversarialCampaign::new(&cfg, &acfg);
+        let serial = run(&sweep, 1);
+        let par = run(&sweep, 3);
         assert_eq!(serial, par);
     }
 
     #[test]
     fn rows_are_projections_of_their_telemetry() {
         let (cfg, acfg) = small();
-        for row in run_adversarial(&cfg, &acfg) {
-            let again = AdversarialRow::from_telemetry(row.cell, row.telemetry.clone());
-            assert_eq!(row, again, "row fields must come from telemetry alone");
-            assert!(row.established > 0);
+        let sweep = AdversarialCampaign::new(&cfg, &acfg);
+        let rows = run(&sweep, 1);
+        let table = render(&sweep, &rows);
+        for ((cell, o), line) in rows.iter().zip(table.lines().skip(2)) {
+            // A one-row table rebuilt from a copy of the telemetry alone.
+            let telemetry = o.telemetry.clone();
+            let again = render(
+                &sweep,
+                &[(
+                    *cell,
+                    CellOutcome {
+                        telemetry,
+                        worst_links: Vec::new(),
+                    },
+                )],
+            );
+            assert_eq!(
+                again.lines().nth(2),
+                Some(line),
+                "row fields must come from telemetry alone"
+            );
+            assert!(o.telemetry.counter("establish.accepted") > 0);
         }
     }
 
@@ -777,30 +692,44 @@ mod tests {
             seed: 13,
             ..AdversarialConfig::default()
         };
-        let rows = run_adversarial(&cfg, &acfg);
+        let rows = run(&AdversarialCampaign::new(&cfg, &acfg), 1);
         assert_eq!(rows.len(), 2);
-        let undefended = rows.iter().find(|r| !r.cell.defended).unwrap();
-        let defended = rows.iter().find(|r| r.cell.defended).unwrap();
-        assert!(undefended.false_reports > 0);
+        let arm = |def: bool| {
+            &rows
+                .iter()
+                .find(|(c, _)| c.defended == def)
+                .unwrap()
+                .1
+                .telemetry
+        };
+        let (undefended, defended) = (arm(false), arm(true));
+        let rejected = ["reports.rejected", "reports.rejected_quarantined"];
+        assert!(undefended.counter("adversary.false_reports") > 0);
         assert!(
-            undefended.false_reroutes > 0,
+            undefended.counter("adversary.false_reroutes") > 0,
             "unvetted lies must force spurious switchovers"
         );
-        assert_eq!(defended.false_reroutes, 0, "vetting rejects every lie");
+        assert_eq!(
+            defended.counter("adversary.false_reroutes"),
+            0,
+            "vetting rejects every lie"
+        );
         assert!(
-            defended.reports_rejected >= defended.false_reports,
+            sum(defended, &rejected) >= defended.counter("adversary.false_reports"),
             "every lie is vetoed (plus any real report from a reporter \
              already in quarantine)"
         );
         assert!(
-            defended.routers_quarantined > 0,
+            defended.counter("quarantine.routers_entered") > 0,
             "repeat liars end up quarantined"
         );
         // The acceptance criterion of the issue: with quarantine on,
         // D-LSR keeps measurably more of its protection probability.
         let (u, d) = (
-            undefended.p_act_bk_ppm.expect("probe ran"),
-            defended.p_act_bk_ppm.expect("probe ran"),
+            undefended
+                .try_gauge("sweep.p_act_bk_ppm")
+                .expect("probe ran"),
+            defended.try_gauge("sweep.p_act_bk_ppm").expect("probe ran"),
         );
         assert!(
             d > u,
@@ -821,42 +750,50 @@ mod tests {
             seed: 13,
             ..AdversarialConfig::default()
         };
-        let rows = run_adversarial(&cfg, &acfg);
-        let defended = rows.iter().find(|r| r.cell.defended).unwrap();
-        let undefended = rows.iter().find(|r| !r.cell.defended).unwrap();
+        let rows = run(&AdversarialCampaign::new(&cfg, &acfg), 1);
+        let arm = |def: bool| {
+            &rows
+                .iter()
+                .find(|(c, _)| c.defended == def)
+                .unwrap()
+                .1
+                .telemetry
+        };
+        let (defended, undefended) = (arm(true), arm(false));
         assert!(
-            defended.links_quarantined > 0,
+            defended.counter("quarantine.links_entered") > 0,
             "churn damping must quarantine the liars' links"
         );
-        assert_eq!(undefended.links_quarantined, 0);
+        assert_eq!(undefended.counter("quarantine.links_entered"), 0);
         // Both arms see the same poisoned establishment phase.
-        assert_eq!(defended.established, undefended.established);
-        assert_eq!(defended.rejected, undefended.rejected);
+        for key in ["establish.accepted", "establish.rejected"] {
+            assert_eq!(defended.counter(key), undefended.counter(key));
+        }
     }
 
     #[test]
     fn storm_rounds_repair_behind_themselves() {
         let (cfg, mut acfg) = small();
         acfg.regimes = vec![AdversarialRegime::RegionalStorm];
-        let rows = run_adversarial(&cfg, &acfg);
-        let row = &rows[0];
-        assert!(row.links_failed > 0, "storms must land");
+        let rows = run(&AdversarialCampaign::new(&cfg, &acfg), 1);
+        let t = &rows[0].1.telemetry;
+        assert!(t.counter("inject.links_failed") > 0, "storms must land");
         // The closing probe ran on a fully repaired network: every
         // probe trial found a live failure unit to fail.
-        assert!(row.telemetry.counter("sweep.trials") > 0);
+        assert!(t.counter("sweep.trials") > 0);
     }
 
     #[test]
     fn table_renders_every_cell() {
         let (cfg, acfg) = small();
-        let net = cfg.build_network().unwrap();
-        let rows = run_adversarial(&cfg, &acfg);
-        let table = render(&net, &rows);
+        let sweep = AdversarialCampaign::new(&cfg, &acfg);
+        let rows = run(&sweep, 1);
+        let table = render(&sweep, &rows);
         assert!(table.contains("P_act-bk"));
         for r in AdversarialRegime::ALL {
             assert!(table.contains(r.label()));
         }
-        let merged = merged_telemetry(&rows);
+        let merged = merged(&rows);
         assert!(merged.counter("establish.accepted") > 0);
         assert!(!merged.snapshot().is_empty());
     }

@@ -48,7 +48,7 @@
 //! waiver. The timings are machine-dependent by nature; the report
 //! records the CPU count so numbers are read in context.
 
-use crate::campaign::{stream_campaign_with, CampaignConfig};
+use crate::campaign::{CampaignConfig, LossCampaign};
 use crate::config::ExperimentConfig;
 use crate::runner::SchemeKind;
 use drt_core::failure::FailureEvent;
@@ -445,19 +445,20 @@ pub fn run(quick: bool, seed: u64, jobs: usize) -> BenchReport {
 
     // End to end: the loss-rate campaign, sparse engine on one worker
     // (the pre-optimization shape) vs. dense engine on `jobs` workers.
-    let mut ccfg = CampaignConfig {
+    let ccfg = CampaignConfig {
         seed,
-        ..CampaignConfig::default()
+        ..if quick {
+            CampaignConfig::quick()
+        } else {
+            CampaignConfig::default()
+        }
     };
-    if quick {
-        ccfg.connections = 40;
-        ccfg.failures = 4;
-    }
     let t0 = Instant::now(); // lint:allow(nondet) — bench harness
-    stream_campaign_with(&cfg, &ccfg, 1, || Box::new(DLsr::sparse_baseline()), |_| {});
+    let sparse = LossCampaign::new(&cfg, &ccfg).with_scheme(|| Box::new(DLsr::sparse_baseline()));
+    crate::regime::for_each_cell(&sparse, 1, |_, _| {});
     let sparse_serial_s = t0.elapsed().as_secs_f64();
     let t0 = Instant::now(); // lint:allow(nondet) — bench harness
-    stream_campaign_with(&cfg, &ccfg, jobs, || SchemeKind::DLsr.instantiate(), |_| {});
+    crate::regime::for_each_cell(&LossCampaign::new(&cfg, &ccfg), jobs, |_, _| {});
     let dense_jobs_s = t0.elapsed().as_secs_f64();
 
     BenchReport {

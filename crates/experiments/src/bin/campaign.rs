@@ -1,96 +1,152 @@
 //! Failure campaigns: the control-plane loss sweep, the correlated
-//! multi-failure sweep, and the adversarial sweep.
+//! multi-failure sweep, the adversarial sweep, and the restart storm.
 //!
-//! The loss sweep drives the distributed engine under 0–20 % per-hop
-//! control-packet loss; the multi-failure sweep injects correlated
-//! events (independent links → SRLG bursts → router crashes) and
-//! recovers them through the orchestrator; the adversarial sweep pits
-//! the schemes against byzantine routers and hostile workloads, with
-//! and without countermeasures. All report recovery latency,
-//! `P_act-bk`, and degradation, deterministically per seed.
+//! Each family is a [`Regime`]: it enumerates its cells, runs one cell
+//! into telemetry, and declares its table as column specs. One driver
+//! runs any of them at `--jobs N` and streams its table; every table is
+//! deterministic per seed and byte-identical for every job count.
 //!
 //! Usage: `campaign [--quick] [--seed N] [--regime NAME] [--jobs N]
 //! [--bench-json [PATH]]`
 //!
 //! * `--quick`        reduced horizon and event counts (CI);
 //! * `--seed N`       master seed for every sweep (default 7);
-//! * `--regime NAME`  run only the sweep owning that regime: a
-//!   multi-failure one (`indep-links`, `srlg-bursts`, `node-crashes`),
-//!   an adversarial one (`byzantine-lsa`, `false-reports`,
-//!   `flash-crowd`, `regional-storm`), or the restart one
-//!   (`restart-storm`);
+//! * `--regime NAME`  run only the family owning that regime, narrowed to
+//!   it: a multi-failure one (`indep-links`, `srlg-bursts`,
+//!   `node-crashes`), an adversarial one (`byzantine-lsa`,
+//!   `false-reports`, `flash-crowd`, `regional-storm`), or the restart
+//!   one (`restart-storm`);
 //! * `--jobs N`       worker threads for the sweeps (default 1); the
 //!   output is byte-identical for every job count;
 //! * `--bench-json [PATH]` run the bench harness instead of the sweeps
 //!   and write its JSON report (default `BENCH_routing.json`).
 
-use drt_experiments::adversarial::{
-    merged_telemetry, render as render_adversarial, run_adversarial_jobs, AdversarialConfig,
-    AdversarialRegime,
-};
-use drt_experiments::campaign::{
-    render_breakdown, render_header, render_row, stream_campaign, CampaignConfig,
-};
+use drt_experiments::adversarial::{AdversarialCampaign, AdversarialConfig, AdversarialRegime};
+use drt_experiments::campaign::{CampaignConfig, LossCampaign};
 use drt_experiments::config::ExperimentConfig;
-use drt_experiments::multi_failure::{
-    prepare_network, render as render_multi, run_multi_failure_jobs, FailureRegime,
-    MultiFailureConfig,
-};
-use drt_experiments::restart::{
-    render as render_restart, run_restart_jobs, RestartConfig, RestartRegime,
-};
+use drt_experiments::multi_failure::{FailureRegime, MultiFailureCampaign, MultiFailureConfig};
+use drt_experiments::regime::{self, Regime};
+use drt_experiments::restart::{self, RestartCampaign, RestartConfig};
 use std::io::Write;
 
-/// A `--regime` operand: each name belongs to exactly one sweep.
-#[derive(Debug, Clone, Copy)]
-enum RegimeArg {
-    Failure(FailureRegime),
-    Adversarial(AdversarialRegime),
-    Restart(RestartRegime),
+/// What every family is run with.
+struct Run {
+    cfg: ExperimentConfig,
+    quick: bool,
+    seed: u64,
+    jobs: usize,
 }
 
-fn parse_regime(v: &str) -> Option<RegimeArg> {
-    FailureRegime::parse(v)
-        .map(RegimeArg::Failure)
-        .or_else(|| AdversarialRegime::parse(v).map(RegimeArg::Adversarial))
-        .or_else(|| RestartRegime::parse(v).map(RegimeArg::Restart))
+impl Run {
+    /// `full` or, under `--quick`, `small`.
+    fn scaled<C>(&self, full: fn() -> C, small: fn() -> C) -> C {
+        if self.quick {
+            small()
+        } else {
+            full()
+        }
+    }
+
+    /// Streams `regime`'s table to stdout as its cells complete, then
+    /// its footer.
+    fn print(&self, regime: &impl Regime) {
+        eprintln!(
+            "campaign: {} — {} cells, seed {}, jobs {} ...",
+            regime.title(),
+            regime.cells().len(),
+            self.seed,
+            self.jobs
+        );
+        let merged = regime::stream(regime, self.jobs, |s| {
+            print!("{s}");
+            let _ = std::io::stdout().flush();
+        });
+        print!("{}", regime.footer(&merged));
+    }
 }
 
-fn known_regimes() -> Vec<&'static str> {
-    FailureRegime::ALL
-        .iter()
-        .map(|r| r.label())
-        .chain(AdversarialRegime::ALL.iter().map(|r| r.label()))
-        .chain(RestartRegime::ALL.iter().map(|r| r.label()))
-        .collect()
+/// A family: the `--regime` names it owns, and how to run it — whole, or
+/// narrowed to one of its names.
+struct Family {
+    names: fn() -> Vec<&'static str>,
+    run: fn(&Run, Option<&str>),
 }
+
+/// Every family, in the order a full run prints them.
+const FAMILIES: [Family; 4] = [
+    Family {
+        names: Vec::new,
+        run: |r, _| {
+            let c = CampaignConfig {
+                seed: r.seed,
+                ..r.scaled(CampaignConfig::default, CampaignConfig::quick)
+            };
+            r.print(&LossCampaign::new(&r.cfg, &c));
+        },
+    },
+    Family {
+        names: || FailureRegime::ALL.map(FailureRegime::label).to_vec(),
+        run: |r, only| {
+            let mut c = MultiFailureConfig {
+                seed: r.seed,
+                ..r.scaled(MultiFailureConfig::default, MultiFailureConfig::quick)
+            };
+            c.regimes.retain(|g| only.is_none_or(|o| o == g.label()));
+            r.print(&MultiFailureCampaign::new(&r.cfg, &c));
+        },
+    },
+    Family {
+        names: || {
+            AdversarialRegime::ALL
+                .map(AdversarialRegime::label)
+                .to_vec()
+        },
+        run: |r, only| {
+            let mut c = AdversarialConfig {
+                seed: r.seed,
+                ..r.scaled(AdversarialConfig::default, AdversarialConfig::quick)
+            };
+            c.regimes.retain(|g| only.is_none_or(|o| o == g.label()));
+            r.print(&AdversarialCampaign::new(&r.cfg, &c));
+        },
+    },
+    Family {
+        names: || vec![restart::REGIME],
+        run: |r, _| {
+            let c = RestartConfig {
+                seed: r.seed,
+                ..r.scaled(RestartConfig::default, RestartConfig::quick)
+            };
+            r.print(&RestartCampaign::new(&r.cfg, &c));
+        },
+    },
+];
 
 fn main() {
     let mut quick = false;
-    let mut seed: Option<u64> = None;
-    let mut regime: Option<RegimeArg> = None;
+    let mut seed: u64 = 7;
+    let mut regime: Option<String> = None;
     let mut jobs: usize = 1;
     let mut bench_json: Option<String> = None;
+    let known: Vec<&str> = FAMILIES.iter().flat_map(|f| (f.names)()).collect();
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
             "--seed" => {
                 let v = args.next().unwrap_or_default();
-                seed = Some(v.parse().unwrap_or_else(|_| {
+                seed = v.parse().unwrap_or_else(|_| {
                     eprintln!("campaign: --seed needs an integer, got {v:?}");
                     std::process::exit(2);
-                }));
+                });
             }
             "--regime" => {
                 let v = args.next().unwrap_or_default();
-                regime = Some(parse_regime(&v).unwrap_or_else(|| {
-                    eprintln!(
-                        "campaign: unknown regime {v:?}; known: {:?}",
-                        known_regimes()
-                    );
+                if !known.contains(&v.as_str()) {
+                    eprintln!("campaign: unknown regime {v:?}; known: {known:?}");
                     std::process::exit(2);
-                }));
+                }
+                regime = Some(v);
             }
             "--jobs" => {
                 let v = args.next().unwrap_or_default();
@@ -121,7 +177,7 @@ fn main() {
     if let Some(path) = bench_json {
         let jobs = if jobs <= 1 { 8 } else { jobs };
         eprintln!("bench: timing routing hot paths and the end-to-end campaign (jobs {jobs}) ...");
-        let report = drt_experiments::bench::run(quick, seed.unwrap_or(7), jobs);
+        let report = drt_experiments::bench::run(quick, seed, jobs);
         std::fs::write(&path, report.to_json()).unwrap_or_else(|e| {
             eprintln!("campaign: cannot write {path}: {e}");
             std::process::exit(1);
@@ -141,158 +197,22 @@ fn main() {
         return;
     }
 
-    let cfg = if quick {
-        ExperimentConfig::quick(3.0)
-    } else {
-        ExperimentConfig::paper(3.0)
+    let run = Run {
+        cfg: if quick {
+            ExperimentConfig::quick(3.0)
+        } else {
+            ExperimentConfig::paper(3.0)
+        },
+        quick,
+        seed,
+        jobs,
     };
-    let net = cfg.build_network().expect("paper topology");
-
-    let mut mcfg = MultiFailureConfig::default();
-    if quick {
-        mcfg.connections = 40;
-        mcfg.events = 3;
-    }
-    if let Some(s) = seed {
-        mcfg.seed = s;
-    }
-    let mut acfg = AdversarialConfig::default();
-    if quick {
-        acfg.connections = 40;
-        acfg.events = 3;
-        acfg.strengths = vec![1, 3];
-    }
-    if let Some(s) = seed {
-        acfg.seed = s;
-    }
-    let mut rcfg = RestartConfig::default();
-    if quick {
-        rcfg.connections = 40;
-        rcfg.intensities = vec![4, 8];
-    }
-    if let Some(s) = seed {
-        rcfg.seed = s;
-    }
-    match regime {
-        Some(RegimeArg::Failure(r)) => mcfg.regimes = vec![r],
-        Some(RegimeArg::Adversarial(r)) => acfg.regimes = vec![r],
-        Some(RegimeArg::Restart(_)) | None => {}
-    }
-
-    // `--regime` focuses the run on the sweep owning that regime (CI
-    // smoke runs one tiny row per regime); otherwise every sweep runs.
-    if regime.is_none() {
-        let mut ccfg = CampaignConfig::default();
-        if quick {
-            ccfg.connections = 40;
-            ccfg.failures = 4;
+    // `--regime` runs only the family owning that name, narrowed to it;
+    // otherwise every family runs whole.
+    let only = regime.as_deref();
+    for family in &FAMILIES {
+        if only.is_none_or(|o| (family.names)().contains(&o)) {
+            (family.run)(&run, only);
         }
-        if let Some(s) = seed {
-            ccfg.seed = s;
-        }
-        eprintln!(
-            "campaign: {} connections, {} failures, loss rates {:?}, seed {}, jobs {} ...",
-            ccfg.connections, ccfg.failures, ccfg.loss_rates, ccfg.seed, jobs
-        );
-        // Rows stream to stdout in canonical order as workers finish;
-        // the worst-links breakdown buffers until the table completes.
-        // Byte-identical to `render()` of the collected rows.
-        print!("{}", render_header(&net));
-        let mut breakdowns = String::new();
-        stream_campaign(&cfg, &ccfg, jobs, |row| {
-            print!("{}", render_row(&row));
-            let _ = std::io::stdout().flush();
-            breakdowns.push_str(&render_breakdown(&row));
-        });
-        print!("{breakdowns}");
-        println!();
-        println!(
-            "reading guide: every control packet crosses a chaotic plane that\n\
-             drops each hop with probability `loss%` (plus 2% duplication and\n\
-             200us jitter). Retransmission with exponential backoff keeps the\n\
-             signalling live: `retx` counts retries, `exh` counts transactions\n\
-             that ran out of attempts, and `degr` the connections that came up\n\
-             unprotected as a result. Between failures DRTP's reconfiguration\n\
-             step re-establishes backups (`reprot`); `P_act-bk` is then probed\n\
-             on the post-campaign state, with `probeD` of the shortfall due to\n\
-             degradation rather than activation contention. The table is\n\
-             deterministic per seed.\n"
-        );
-    }
-
-    if matches!(regime, None | Some(RegimeArg::Failure(_))) {
-        eprintln!(
-            "multi-failure: {} connections, {} events/regime, regimes {:?}, seed {}, jobs {} ...",
-            mcfg.connections,
-            mcfg.events,
-            mcfg.regimes.iter().map(|r| r.label()).collect::<Vec<_>>(),
-            mcfg.seed,
-            jobs
-        );
-        let rows = run_multi_failure_jobs(&cfg, &mcfg, jobs);
-        println!("{}", render_multi(&prepare_network(&cfg, &mcfg), &rows));
-        println!(
-            "reading guide: each event fails its whole correlated set at once\n\
-             (`links` counts the members) and all affected backups contend in\n\
-             one activation pass. Survivors re-protect through the recovery\n\
-             orchestrator: retries with exponential backoff, flapping links\n\
-             quarantined (`quar`) from new backups, and connections whose\n\
-             retries exhaust counted as `orphan` — protection the regime\n\
-             permanently destroyed. `P_act-bk` is probed on the final state.\n\
-             Rows share the workload substream, so regimes are comparable and\n\
-             the table is deterministic per seed.\n"
-        );
-    }
-
-    if matches!(regime, None | Some(RegimeArg::Adversarial(_))) {
-        eprintln!(
-            "adversarial: {} connections, {} rounds/cell, regimes {:?}, strengths {:?}, seed {}, jobs {} ...",
-            acfg.connections,
-            acfg.events,
-            acfg.regimes.iter().map(|r| r.label()).collect::<Vec<_>>(),
-            acfg.strengths,
-            acfg.seed,
-            jobs
-        );
-        let rows = run_adversarial_jobs(&cfg, &acfg, jobs);
-        println!("{}", render_adversarial(&net, &rows));
-        println!(
-            "reading guide: byzantine regimes run one undefended and one\n\
-             defended arm per cell (`def`). `f-rep` counts the lies fired,\n\
-             `f-rr` the spurious switchovers they caused, `vetoed` the lies\n\
-             report verification rejected, and `quar` the routers + links the\n\
-             countermeasures quarantined. `orphan` counts connections whose\n\
-             re-protection exhausted its retries; `rec-p50`/`rec-p95` are\n\
-             recovery-latency percentiles from the telemetry histogram, and\n\
-             `P_act-bk` is probed on the post-campaign state. Every column is\n\
-             a projection of the merged telemetry below; the table is\n\
-             deterministic per seed and byte-identical for every --jobs.\n"
-        );
-        println!("campaign telemetry (merged across cells):");
-        for line in merged_telemetry(&rows).snapshot().lines() {
-            println!("  {line}");
-        }
-    }
-
-    if matches!(regime, None | Some(RegimeArg::Restart(_))) {
-        eprintln!(
-            "restart-storm: {} connections, intensities {:?}, {} waves, seed {}, jobs {} ...",
-            rcfg.connections, rcfg.intensities, rcfg.waves, rcfg.seed, jobs
-        );
-        let rows = run_restart_jobs(&cfg, &rcfg, jobs);
-        println!("{}", render_restart(&net, &rows));
-        println!(
-            "reading guide: every cell runs twice — `amnesia` restarts lose\n\
-             all router state (spurious switchovers `spur-sw`, forgotten\n\
-             backup registrations `reg-lst`, connections dropped outright by\n\
-             a restarted terminal `lost`), `journal` restarts replay the\n\
-             write-ahead journal and resync with their neighbours (`recov`\n\
-             table entries recovered, nothing else moves). The orchestrator\n\
-             re-protects whatever each restart disturbed before the next\n\
-             wave member goes down. `P_act-bk` probes the survivors; `P_eff`\n\
-             scales it by storm survival, pricing destroyed connections.\n\
-             The table is deterministic per seed and byte-identical for\n\
-             every --jobs.\n"
-        );
     }
 }

@@ -32,6 +32,9 @@
 //!   maintenance-wave schedule, each cell run twice — amnesia vs.
 //!   journaled rejoin — pricing what durable state (the write-ahead
 //!   journal and resync-on-rejoin of `drt-proto`) is worth;
+//! * [`regime`] — the one driver behind the four campaign families
+//!   above: the [`regime::Regime`] trait, the `--jobs` driver, and the
+//!   column-spec table renderer;
 //! * [`par`] — deterministic parallel execution of independent cells
 //!   (`--jobs N`), byte-identical to the serial run;
 //! * [`failure_analysis`] — the Figure-4 sweep and the vulnerability
@@ -58,6 +61,7 @@ pub mod fault_tolerance;
 pub mod multi_failure;
 pub mod overhead;
 pub mod par;
+pub mod regime;
 pub mod report;
 pub mod restart;
 pub mod runner;

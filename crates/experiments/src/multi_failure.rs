@@ -25,17 +25,20 @@
 //! Everything derives from one master seed (workload, SRLG derivation,
 //! event choice, contention shuffles, probes), so each row is exactly
 //! reproducible; regimes share the workload substream and differ only in
-//! the events they inject, which is what makes the rows comparable.
+//! the events they inject, which is what makes the rows comparable. The
+//! sweep is a [`Regime`] with one cell per failure regime; every column
+//! is a projection of the cell's merged manager + orchestrator telemetry.
 
 use crate::config::ExperimentConfig;
+use crate::regime::{self, CellOutcome, Column, Regime, Stat, Unit, Value};
 use crate::runner::SchemeKind;
-use drt_core::failure::{FailureEvent, LinkImpact};
+use drt_core::failure::FailureEvent;
 use drt_core::orchestrator::{RecoveryOrchestrator, RetryPolicy};
-use drt_core::{ConnectionId, DrtpManager};
+use drt_core::routing::RoutingScheme;
+use drt_core::{DrtpManager, Telemetry};
 use drt_net::{LinkId, Network, NodeId, SrlgId};
-use drt_sim::workload::{TimelineEvent, TrafficPattern};
+use drt_sim::workload::TrafficPattern;
 use drt_sim::{SimDuration, SimTime};
-use rand::Rng;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -66,11 +69,6 @@ impl FailureRegime {
             FailureRegime::SrlgBursts => "srlg-bursts",
             FailureRegime::NodeCrashes => "node-crashes",
         }
-    }
-
-    /// Parses a [`FailureRegime::label`] back into a regime.
-    pub fn parse(s: &str) -> Option<FailureRegime> {
-        FailureRegime::ALL.into_iter().find(|r| r.label() == s)
     }
 }
 
@@ -111,82 +109,46 @@ impl Default for MultiFailureConfig {
     }
 }
 
-/// One row of the sweep: a whole campaign under one regime.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiFailureRow {
-    /// The failure regime this row ran.
-    pub regime: FailureRegime,
-    /// Connections established before the failures.
-    pub established: u64,
-    /// Correlated events injected.
-    pub events: u64,
-    /// Total links the events disabled.
-    pub links_failed: u64,
-    /// Affected primaries whose backup activated (one contention pass
-    /// per event).
-    pub switched: u64,
-    /// Affected primaries that lost the activation contention.
-    pub lost: u64,
-    /// Survivors whose *backup* crossed a failed link and was dropped.
-    pub unprotected: u64,
-    /// Connections the orchestrator re-protected.
-    pub reprotected: u64,
-    /// Connections that exhausted their retries and run unprotected.
-    pub orphaned: u64,
-    /// Links quarantined by flap damping when the campaign ended.
-    pub quarantined: u64,
-    /// Mean re-protection latency over orchestrator completions.
-    pub mean_recovery: Option<SimDuration>,
-    /// Worst re-protection latency.
-    pub max_recovery: Option<SimDuration>,
-    /// `P_act-bk` probed on the post-campaign state.
-    pub p_act_bk: Option<f64>,
-    /// The most fragile failure units in the closing probe sweep.
-    pub worst_links: Vec<LinkImpact>,
+impl MultiFailureConfig {
+    /// The CI-scale sweep (`campaign --quick`): 40 connections, 3 events.
+    pub fn quick() -> Self {
+        MultiFailureConfig {
+            connections: 40,
+            events: 3,
+            ..MultiFailureConfig::default()
+        }
+    }
 }
 
-/// Runs the sweep: one fresh manager + workload per regime (same
-/// substreams, so rows differ only by the injected events).
-///
-/// # Panics
-///
-/// Panics when the experiment topology cannot be built or a manager
-/// invariant breaks — both are harness bugs, not measured outcomes.
-pub fn run_multi_failure(
-    cfg: &ExperimentConfig,
-    mcfg: &MultiFailureConfig,
-) -> Vec<MultiFailureRow> {
-    run_multi_failure_jobs(cfg, mcfg, 1)
+/// The multi-failure sweep as a [`Regime`]: one cell per failure regime,
+/// each a fresh manager and workload (same substreams, so rows differ
+/// only by the injected events).
+#[derive(Debug)]
+pub struct MultiFailureCampaign {
+    cfg: ExperimentConfig,
+    mcfg: MultiFailureConfig,
+    net: Arc<Network>,
 }
 
-/// [`run_multi_failure`] on at most `jobs` worker threads, one regime per
-/// cell. Regimes derive their RNG substreams from the master seed and
-/// their own label, so rows are byte-identical for every job count.
-pub fn run_multi_failure_jobs(
-    cfg: &ExperimentConfig,
-    mcfg: &MultiFailureConfig,
-    jobs: usize,
-) -> Vec<MultiFailureRow> {
-    let net = prepare_network(cfg, mcfg);
-    let net = &net;
-    crate::par::parallel_map(
-        jobs,
-        mcfg.regimes.clone(),
-        || SchemeKind::DLsr.instantiate(),
-        |scheme, regime| run_regime(cfg, mcfg, Arc::clone(net), scheme.as_mut(), regime),
-    )
-}
-
-/// The topology the sweep runs on: the experiment network with the
-/// seed-derived conduit groups registered. Exposed so callers can
-/// render against the same graph the rows were measured on.
-pub fn prepare_network(cfg: &ExperimentConfig, mcfg: &MultiFailureConfig) -> Arc<Network> {
-    let base = cfg.build_network().expect("experiment topology");
-    let groups = derive_srlgs(&base, mcfg.srlg_size, mcfg.seed);
-    Arc::new(
-        base.with_srlgs(&groups)
-            .expect("groups derived from this network"),
-    )
+impl MultiFailureCampaign {
+    /// The sweep `mcfg` on the experiment network of `cfg` with the
+    /// seed-derived conduit groups registered.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the experiment topology cannot be built.
+    pub fn new(cfg: &ExperimentConfig, mcfg: &MultiFailureConfig) -> Self {
+        let base = cfg.build_network().expect("experiment topology");
+        let groups = derive_srlgs(&base, mcfg.srlg_size, mcfg.seed);
+        let net = base
+            .with_srlgs(&groups)
+            .expect("groups derived from this network");
+        MultiFailureCampaign {
+            cfg: cfg.clone(),
+            mcfg: mcfg.clone(),
+            net: Arc::new(net),
+        }
+    }
 }
 
 /// Deterministically partitions the links into conduit groups of
@@ -194,114 +156,142 @@ pub fn prepare_network(cfg: &ExperimentConfig, mcfg: &MultiFailureConfig) -> Arc
 /// group, so an SRLG burst is meaningful anywhere in the topology.
 fn derive_srlgs(net: &Network, size: usize, seed: u64) -> Vec<Vec<LinkId>> {
     let mut links: Vec<LinkId> = net.links().map(|l| l.id()).collect();
-    let mut rng = drt_sim::rng::stream(seed, "srlg-derivation");
-    // Fisher–Yates with the seeded stream; rand's shuffle would also be
-    // deterministic, but spelling it out keeps the derivation obvious.
-    for i in (1..links.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        links.swap(i, j);
-    }
+    regime::shuffle(
+        &mut links,
+        &mut drt_sim::rng::stream(seed, "srlg-derivation"),
+    );
     links.chunks(size.max(1)).map(|c| c.to_vec()).collect()
 }
 
-fn run_regime(
-    cfg: &ExperimentConfig,
-    mcfg: &MultiFailureConfig,
-    net: Arc<Network>,
-    scheme: &mut dyn drt_core::routing::RoutingScheme,
-    regime: FailureRegime,
-) -> MultiFailureRow {
-    let kind = SchemeKind::DLsr;
-    let mut mgr = DrtpManager::with_config(Arc::clone(&net), kind.manager_config());
+impl Regime for MultiFailureCampaign {
+    type Cell = FailureRegime;
+    type Worker = Box<dyn RoutingScheme>;
 
-    let mut row = MultiFailureRow {
-        regime,
-        established: 0,
-        events: 0,
-        links_failed: 0,
-        switched: 0,
-        lost: 0,
-        unprotected: 0,
-        reprotected: 0,
-        orphaned: 0,
-        quarantined: 0,
-        mean_recovery: None,
-        max_recovery: None,
-        p_act_bk: None,
-        worst_links: Vec::new(),
-    };
-
-    // Phase 1: the shared workload (same substream for every regime).
-    let scenario = cfg
-        .scenario_config(0.4, TrafficPattern::ut())
-        .generate(cfg.nodes);
-    for (_, ev) in scenario.timeline() {
-        if row.established as usize >= mcfg.connections {
-            break;
-        }
-        let TimelineEvent::Arrive(rid) = ev else {
-            continue;
-        };
-        let r = scenario.request(rid).expect("valid id");
-        let conn = ConnectionId::new(rid.index() as u64);
-        let req = drt_core::routing::RouteRequest::new(conn, r.src, r.dst, scenario.bw_req())
-            .with_backups(cfg.backups_per_connection);
-        if mgr.request_connection(&mut *scheme, req).is_ok() {
-            row.established += 1;
-        }
+    fn cells(&self) -> Vec<FailureRegime> {
+        self.mcfg.regimes.clone()
     }
 
-    // Phase 2: correlated failures, recovered through the orchestrator.
-    let mut orch = RecoveryOrchestrator::new(net.num_links(), mcfg.policy);
-    let mut pick_rng = drt_sim::rng::stream(mcfg.seed, &format!("pick-{}", regime.label()));
-    let mut now = SimTime::ZERO;
-    for round in 0..mcfg.events {
-        let Some(event) = pick_event(regime, &mgr, &mut pick_rng) else {
-            break; // nothing loaded left to fail
-        };
-        let mut inject_rng = drt_sim::rng::indexed_stream(
-            mcfg.seed,
-            &format!("inject-{}", regime.label()),
-            round as u64,
+    fn worker(&self) -> Box<dyn RoutingScheme> {
+        SchemeKind::DLsr.instantiate()
+    }
+
+    /// # Panics
+    ///
+    /// Panics when a manager invariant breaks — a harness bug, not a
+    /// measured outcome.
+    fn run_cell(
+        &self,
+        scheme: &mut Box<dyn RoutingScheme>,
+        &regime: &FailureRegime,
+        sweep_jobs: usize,
+    ) -> CellOutcome {
+        let (cfg, mcfg) = (&self.cfg, &self.mcfg);
+        let scheme = scheme.as_mut();
+        let mut mgr =
+            DrtpManager::with_config(Arc::clone(&self.net), SchemeKind::DLsr.manager_config());
+
+        // Phase 1: the shared workload (same substream for every regime).
+        regime::establish(
+            cfg,
+            &mut mgr,
+            scheme,
+            TrafficPattern::ut(),
+            mcfg.connections,
         );
-        let report = mgr
-            .inject_event(&event, &mut inject_rng)
-            .expect("inject_event is infallible on resolvable events");
-        row.events += 1;
-        row.links_failed += report.failed_links.len() as u64;
-        row.switched += report.switched.len() as u64;
-        row.lost += report.lost.len() as u64;
-        row.unprotected += report.unprotected.len() as u64;
-        orch.observe_failure(now, &report);
-        now = orch.run_to_quiescence(now, &mut mgr, &mut *scheme);
-        // Events are spaced out: the next burst lands on a quiesced
-        // network, but within each burst every failure is simultaneous.
-        now += SimDuration::from_secs(30);
+
+        // Phase 2: correlated failures, recovered through the orchestrator.
+        let mut orch = RecoveryOrchestrator::new(self.net.num_links(), mcfg.policy);
+        let mut pick_rng = drt_sim::rng::stream(mcfg.seed, &format!("pick-{}", regime.label()));
+        let mut now = SimTime::ZERO;
+        for round in 0..mcfg.events {
+            let Some(event) = pick_event(regime, &mgr, &mut pick_rng) else {
+                break; // nothing loaded left to fail
+            };
+            let mut inject_rng = drt_sim::rng::indexed_stream(
+                mcfg.seed,
+                &format!("inject-{}", regime.label()),
+                round as u64,
+            );
+            let report = mgr
+                .inject_event(&event, &mut inject_rng)
+                .expect("inject_event is infallible on resolvable events");
+            orch.observe_failure(now, &report);
+            now = orch.run_to_quiescence(now, &mut mgr, scheme);
+            // Events are spaced out: the next burst lands on a quiesced
+            // network, but within each burst every failure is simultaneous.
+            now += SimDuration::from_secs(30);
+        }
+
+        let mut t = mgr.telemetry().clone();
+        t.merge(orch.telemetry());
+        t.set_gauge(
+            "quarantine.links_active",
+            orch.quarantined_links(now).len() as i64,
+        );
+        let seed = drt_sim::rng::substream_seed(mcfg.seed, &format!("probe-{}", regime.label()));
+        let worst_links = regime::closing_sweep(&mgr, seed, sweep_jobs, &mut t);
+        CellOutcome {
+            telemetry: t,
+            worst_links,
+        }
     }
 
-    row.reprotected = orch.completions().len() as u64;
-    row.orphaned = orch.orphaned().len() as u64;
-    row.quarantined = orch.quarantined_links(now).len() as u64;
-    if !orch.completions().is_empty() {
-        let total: u64 = orch
-            .completions()
-            .iter()
-            .map(|c| c.latency.as_micros())
-            .sum();
-        row.mean_recovery = Some(SimDuration::from_micros(
-            total / orch.completions().len() as u64,
-        ));
-        row.max_recovery = orch.completions().iter().map(|c| c.latency).max();
+    fn title(&self) -> String {
+        format!(
+            "Correlated multi-failure campaign ({} nodes, {} links, {} srlgs)",
+            self.net.num_nodes(),
+            self.net.num_links(),
+            self.net.num_srlgs()
+        )
     }
 
-    mgr.assert_invariants();
-    let sweep = mgr.sweep_single_failures(drt_sim::rng::substream_seed(
-        mcfg.seed,
-        &format!("probe-{}", regime.label()),
-    ));
-    row.p_act_bk = sweep.p_act_bk();
-    row.worst_links = sweep.worst_links(3);
-    row
+    fn columns(&self) -> Vec<Column<FailureRegime>> {
+        use Value::{Count, Hist};
+        vec![
+            Column::left("regime", 12, Value::Cell(|r| r.label().into())),
+            Column::right("estab", 6, Count(&["establish.accepted"])),
+            Column::right("events", 6, Count(&["inject.events"])),
+            Column::right("links", 6, Count(&["inject.links_failed"])),
+            Column::right("switch", 6, Count(&["inject.switched"])),
+            Column::right("lost", 5, Count(&["inject.lost"])),
+            Column::right("unprot", 6, Count(&["inject.unprotected"])),
+            Column::right("reprot", 6, Count(&["recovery.reprotected"])),
+            Column::right("orphan", 6, Count(&["recovery.orphaned"])),
+            Column::right("quar", 5, Value::Gauge("quarantine.links_active")),
+            Column::right(
+                "mean-rec",
+                9,
+                Hist("recovery.latency_us", Stat::Mean, Unit::Secs),
+            ),
+            Column::right(
+                "max-rec",
+                9,
+                Hist("recovery.latency_us", Stat::Max, Unit::Secs),
+            ),
+            Column::right(
+                "P_act-bk",
+                9,
+                Value::Ratio("sweep.activated", "sweep.affected"),
+            ),
+        ]
+    }
+
+    fn breakdown_label(&self, regime: &FailureRegime) -> Option<String> {
+        Some(format!("{:<12}", regime.label()))
+    }
+
+    fn footer(&self, _: &Telemetry) -> String {
+        "\nreading guide: each event fails its whole correlated set at once\n\
+         (`links` counts the members) and all affected backups contend in\n\
+         one activation pass. Survivors re-protect through the recovery\n\
+         orchestrator: retries with exponential backoff, flapping links\n\
+         quarantined (`quar`) from new backups, and connections whose\n\
+         retries exhaust counted as `orphan` — protection the regime\n\
+         permanently destroyed. `P_act-bk` is probed on the final state.\n\
+         Rows share the workload substream, so regimes are comparable and\n\
+         the table is deterministic per seed.\n\n"
+            .into()
+    }
 }
 
 /// Picks the next event for `regime`: always one that hits at least one
@@ -311,25 +301,23 @@ fn pick_event(
     mgr: &DrtpManager,
     rng: &mut rand::rngs::StdRng,
 ) -> Option<FailureEvent> {
+    let loaded = regime::loaded_links(mgr);
+    let link = |rng: &mut rand::rngs::StdRng| regime::pick(&loaded, rng).map(FailureEvent::Link);
     match regime {
-        FailureRegime::IndependentLinks => pick_loaded_link(mgr, rng).map(FailureEvent::Link),
+        FailureRegime::IndependentLinks => link(rng),
         FailureRegime::SrlgBursts => {
-            let loaded = loaded_links(mgr);
             let candidates: Vec<SrlgId> = mgr
                 .net()
                 .srlg_ids()
                 .filter(|&g| {
                     let members = mgr.net().srlg(g);
-                    members.iter().any(|l| loaded.contains(l))
+                    members.iter().any(|l| loaded.binary_search(l).is_ok())
                         && members.iter().any(|&l| !mgr.is_failed(l))
                 })
                 .collect();
-            if candidates.is_empty() {
-                return pick_loaded_link(mgr, rng).map(FailureEvent::Link);
-            }
-            Some(FailureEvent::Srlg(
-                candidates[rng.gen_range(0..candidates.len())],
-            ))
+            regime::pick(&candidates, rng)
+                .map(FailureEvent::Srlg)
+                .or_else(|| link(rng))
         }
         FailureRegime::NodeCrashes => {
             // Transit routers only: interior nodes of live primaries, so
@@ -345,104 +333,17 @@ fn pick_event(
                 }
             }
             let candidates: Vec<NodeId> = interior.into_iter().collect();
-            if candidates.is_empty() {
-                return pick_loaded_link(mgr, rng).map(FailureEvent::Link);
-            }
-            Some(FailureEvent::Node(
-                candidates[rng.gen_range(0..candidates.len())],
-            ))
+            regime::pick(&candidates, rng)
+                .map(FailureEvent::Node)
+                .or_else(|| link(rng))
         }
-    }
-}
-
-fn loaded_links(mgr: &DrtpManager) -> BTreeSet<LinkId> {
-    mgr.connections()
-        .filter(|c| c.state().is_carrying_traffic())
-        .flat_map(|c| c.primary().links().iter().copied())
-        .filter(|&l| !mgr.is_failed(l))
-        .collect()
-}
-
-fn pick_loaded_link(mgr: &DrtpManager, rng: &mut rand::rngs::StdRng) -> Option<LinkId> {
-    let loaded: Vec<LinkId> = loaded_links(mgr).into_iter().collect();
-    if loaded.is_empty() {
-        return None;
-    }
-    Some(loaded[rng.gen_range(0..loaded.len())])
-}
-
-/// Renders the sweep as a table, one row per regime.
-pub fn render(net: &Network, rows: &[MultiFailureRow]) -> String {
-    let mut out = format!(
-        "Correlated multi-failure campaign ({} nodes, {} links, {} srlgs)\n",
-        net.num_nodes(),
-        net.num_links(),
-        net.num_srlgs()
-    );
-    out.push_str(&format!(
-        "{:<12} {:>6} {:>6} {:>6} {:>6} {:>5} {:>6} {:>6} {:>6} {:>5} {:>9} {:>9} {:>9}\n",
-        "regime",
-        "estab",
-        "events",
-        "links",
-        "switch",
-        "lost",
-        "unprot",
-        "reprot",
-        "orphan",
-        "quar",
-        "mean-rec",
-        "max-rec",
-        "P_act-bk"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<12} {:>6} {:>6} {:>6} {:>6} {:>5} {:>6} {:>6} {:>6} {:>5} {:>9} {:>9} {:>9}\n",
-            r.regime.label(),
-            r.established,
-            r.events,
-            r.links_failed,
-            r.switched,
-            r.lost,
-            r.unprotected,
-            r.reprotected,
-            r.orphaned,
-            r.quarantined,
-            fmt_s(r.mean_recovery),
-            fmt_s(r.max_recovery),
-            r.p_act_bk
-                .map(|p| format!("{p:.4}"))
-                .unwrap_or_else(|| "-".into()),
-        ));
-    }
-    for r in rows {
-        if r.worst_links.is_empty() {
-            continue;
-        }
-        let ranked: Vec<String> = r
-            .worst_links
-            .iter()
-            .map(|li| format!("{} (-{} of {})", li.link, li.lost(), li.affected))
-            .collect();
-        out.push_str(&format!(
-            "  {:<12} worst links: {}\n",
-            r.regime.label(),
-            ranked.join(", ")
-        ));
-    }
-    out
-}
-
-fn fmt_s(d: Option<SimDuration>) -> String {
-    match d {
-        Some(d) => format!("{:.2}s", d.as_secs_f64()),
-        None => "-".into(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regime::{render, run};
 
     fn small() -> (ExperimentConfig, MultiFailureConfig) {
         let mut cfg = ExperimentConfig::quick(3.0);
@@ -459,40 +360,51 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_per_seed() {
         let (cfg, mcfg) = small();
-        let a = run_multi_failure(&cfg, &mcfg);
-        let b = run_multi_failure(&cfg, &mcfg);
+        let sweep = MultiFailureCampaign::new(&cfg, &mcfg);
+        let a = run(&sweep, 1);
+        let b = run(&sweep, 1);
         assert_eq!(a, b);
         let other = MultiFailureConfig { seed: 14, ..mcfg };
-        let c = run_multi_failure(&cfg, &other);
-        assert_ne!(a, c, "different seed must move some field");
+        let other = MultiFailureCampaign::new(&cfg, &other);
+        let c = run(&other, 1);
+        assert_ne!(
+            render(&sweep, &a),
+            render(&other, &c),
+            "different seed must move some field"
+        );
     }
 
     #[test]
     fn parallel_sweep_matches_serial() {
         let (cfg, mcfg) = small();
-        let serial = run_multi_failure_jobs(&cfg, &mcfg, 1);
-        let par = run_multi_failure_jobs(&cfg, &mcfg, 3);
+        let sweep = MultiFailureCampaign::new(&cfg, &mcfg);
+        let serial = run(&sweep, 1);
+        let par = run(&sweep, 3);
         assert_eq!(serial, par);
     }
 
     #[test]
     fn correlation_increases_per_event_damage() {
         let (cfg, mcfg) = small();
-        let rows = run_multi_failure(&cfg, &mcfg);
+        let rows = run(&MultiFailureCampaign::new(&cfg, &mcfg), 1);
         assert_eq!(rows.len(), 3);
-        let by_regime = |r: FailureRegime| rows.iter().find(|x| x.regime == r).unwrap();
+        let by_regime = |r: FailureRegime| &rows.iter().find(|x| x.0 == r).unwrap().1.telemetry;
         let indep = by_regime(FailureRegime::IndependentLinks);
         let srlg = by_regime(FailureRegime::SrlgBursts);
         let crash = by_regime(FailureRegime::NodeCrashes);
+        let (estab, events, links) = ("establish.accepted", "inject.events", "inject.links_failed");
         // Same workload in every regime.
-        assert_eq!(indep.established, srlg.established);
-        assert_eq!(indep.established, crash.established);
-        assert!(indep.events > 0 && srlg.events > 0 && crash.events > 0);
+        assert_eq!(indep.counter(estab), srlg.counter(estab));
+        assert_eq!(indep.counter(estab), crash.counter(estab));
+        assert!(indep.counter(events) > 0 && srlg.counter(events) > 0 && crash.counter(events) > 0);
         // One link per independent event; strictly more per burst/crash.
-        assert_eq!(indep.links_failed, indep.events);
-        assert!(srlg.links_failed > srlg.events, "bursts fail whole groups");
+        assert_eq!(indep.counter(links), indep.counter(events));
         assert!(
-            crash.links_failed > crash.events,
+            srlg.counter(links) > srlg.counter(events),
+            "bursts fail whole groups"
+        );
+        assert!(
+            crash.counter(links) > crash.counter(events),
             "crashes fail all incident links"
         );
     }
@@ -500,24 +412,27 @@ mod tests {
     #[test]
     fn orchestrator_accounting_is_closed() {
         let (cfg, mcfg) = small();
-        for row in run_multi_failure(&cfg, &mcfg) {
+        for (regime, o) in run(&MultiFailureCampaign::new(&cfg, &mcfg), 1) {
+            let t = &o.telemetry;
+            let reprotected = t.counter("recovery.reprotected");
+            let orphaned = t.counter("recovery.orphaned");
+            let lost_protection = t.counter("inject.switched") + t.counter("inject.unprotected");
             // Every connection that lost protection either re-protected
             // or orphaned once the queue drained (quiescence).
             assert!(
-                row.reprotected + row.orphaned <= row.switched + row.unprotected,
-                "{}: more recoveries than losses",
-                row.regime
+                reprotected + orphaned <= lost_protection,
+                "{regime}: more recoveries than losses"
             );
-            if row.switched + row.unprotected > 0 {
+            if lost_protection > 0 {
                 assert!(
-                    row.reprotected + row.orphaned > 0,
-                    "{}: lost protection but no orchestrator outcome",
-                    row.regime
+                    reprotected + orphaned > 0,
+                    "{regime}: lost protection but no orchestrator outcome"
                 );
             }
-            if row.reprotected > 0 {
-                assert!(row.mean_recovery.is_some() && row.max_recovery.is_some());
-                assert!(row.mean_recovery <= row.max_recovery);
+            if reprotected > 0 {
+                let h = t.hist("recovery.latency_us");
+                assert!(h.is_some());
+                assert!(h.map(|h| h.mean()) <= h.map(|h| h.max()));
             }
         }
     }
@@ -543,12 +458,12 @@ mod tests {
     #[test]
     fn table_renders_every_regime() {
         let (cfg, mcfg) = small();
-        let net = cfg.build_network().unwrap();
-        let rows = run_multi_failure(&cfg, &mcfg);
-        let table = render(&net, &rows);
+        let sweep = MultiFailureCampaign::new(&cfg, &mcfg);
+        let rows = run(&sweep, 1);
+        let table = render(&sweep, &rows);
         assert!(table.contains("P_act-bk"));
-        for r in &rows {
-            assert!(table.contains(r.regime.label()));
+        for (r, _) in &rows {
+            assert!(table.contains(r.label()));
         }
     }
 }

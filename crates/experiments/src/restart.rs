@@ -19,11 +19,11 @@
 //!
 //! The restart order is a rolling maintenance schedule
 //! ([`drt_sim::workload::rolling_restart_schedule`]) shared by every
-//! cell of a sweep, and all measurement flows through the first-class
-//! [`Telemetry`] layer: the spurious-switchover and recovered-entry
-//! counters, the recovery-latency percentiles, and the closing
-//! `P_act-bk` probe in the table are projections of the merged manager +
-//! orchestrator registries.
+//! cell of a sweep. The sweep is a [`Regime`] and all measurement flows
+//! through the first-class [`Telemetry`] layer: the spurious-switchover
+//! and recovered-entry counters, the recovery-latency percentiles, and
+//! the closing `P_act-bk` probe in the table are column projections of
+//! the merged manager + orchestrator registries.
 //!
 //! The closing probe alone would *flatter* amnesia: connections a
 //! forgetful terminal destroyed are simply absent from the survivor
@@ -37,56 +37,18 @@
 //! is byte-identical for every `--jobs` count.
 
 use crate::config::ExperimentConfig;
+use crate::regime::{self, CellOutcome, Column, Regime, Stat, Unit, Value};
 use crate::runner::SchemeKind;
 use drt_core::failure::RestartMode;
 use drt_core::orchestrator::{RecoveryOrchestrator, RetryPolicy};
-use drt_core::{ConnectionId, Telemetry};
+use drt_core::{DrtpManager, Telemetry};
 use drt_net::{Network, NodeId};
-use drt_sim::workload::{rolling_restart_schedule, TimelineEvent, TrafficPattern};
+use drt_sim::workload::{rolling_restart_schedule, TrafficPattern};
 use drt_sim::{SimDuration, SimTime};
 use std::sync::Arc;
 
-/// The restart regime of the sweep. One today (`restart-storm`); an enum
-/// so the campaign binary's `--regime` plumbing treats every sweep the
-/// same way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RestartRegime {
-    /// Rolling router restarts on a maintenance-wave schedule, one
-    /// router down at a time.
-    RestartStorm,
-}
-
-impl RestartRegime {
-    /// Every regime, in sweep order.
-    pub const ALL: [RestartRegime; 1] = [RestartRegime::RestartStorm];
-
-    /// The short label used in tables, substream derivation, and the
-    /// campaign binary's `--regime` flag.
-    pub fn label(self) -> &'static str {
-        match self {
-            RestartRegime::RestartStorm => "restart-storm",
-        }
-    }
-
-    /// Parses a [`RestartRegime::label`] back into a regime.
-    pub fn parse(s: &str) -> Option<RestartRegime> {
-        RestartRegime::ALL.into_iter().find(|r| r.label() == s)
-    }
-
-    /// What the integer intensity knob means under this regime (for the
-    /// table's reading guide).
-    pub fn intensity_meaning(self) -> &'static str {
-        match self {
-            RestartRegime::RestartStorm => "routers restarted (rolling, one at a time)",
-        }
-    }
-}
-
-impl std::fmt::Display for RestartRegime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
+/// The sweep's `--regime` name, table label and substream prefix.
+pub const REGIME: &str = "restart-storm";
 
 /// One cell of the sweep: scheme × intensity × restart mode. Both modes
 /// always run — the journaled-vs-amnesia delta *is* the result.
@@ -105,7 +67,7 @@ impl RestartCell {
     /// cells share a substream only if they are the same cell.
     pub fn tag(&self) -> String {
         format!(
-            "restart-storm-{}-i{}-{}",
+            "{REGIME}-{}-i{}-{}",
             self.scheme.label(),
             self.intensity,
             match self.mode {
@@ -167,320 +129,200 @@ impl RestartConfig {
         }
         out
     }
-}
 
-/// One row of the sweep: a whole restart storm under one cell. Every
-/// field below is read back from [`RestartRow::telemetry`] — the row is
-/// a projection of the telemetry registry, not a parallel account.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RestartRow {
-    /// The cell this row ran.
-    pub cell: RestartCell,
-    /// Connections established before the storm (`establish.accepted`).
-    pub established: u64,
-    /// Routers restarted (`restart.events`).
-    pub restarts: u64,
-    /// Table entries restarted routers recovered via journal replay and
-    /// resync (`restart.recovered_entries`) — zero under amnesia.
-    pub recovered_entries: u64,
-    /// Restarts that rejoined with durable state
-    /// (`restart.journaled_rejoins`).
-    pub journaled_rejoins: u64,
-    /// Connections that switched off a router that came right back
-    /// (`restart.spurious_switchovers`) — zero under journaled rejoin.
-    pub spurious_switchovers: u64,
-    /// Connections destroyed outright by a restart
-    /// (`restart.lost_connections`).
-    pub lost: u64,
-    /// Backup registrations the restarted routers forgot
-    /// (`restart.registrations_lost`).
-    pub registrations_lost: u64,
-    /// Connections the orchestrator re-protected
-    /// (`recovery.reprotected`).
-    pub reprotected: u64,
-    /// Connections that exhausted their retries (`recovery.orphaned`).
-    pub orphaned: u64,
-    /// Median re-protection latency in µs (`recovery.latency_us` p50).
-    pub recovery_p50_us: u64,
-    /// Tail re-protection latency in µs (`recovery.latency_us` p95).
-    pub recovery_p95_us: u64,
-    /// Connections still carrying traffic after the storm
-    /// (`storm.survivors`) — under amnesia, restarted terminals drop
-    /// their own connections for good.
-    pub survivors: u64,
-    /// `P_act-bk` of the closing probe sweep over the *surviving*
-    /// population, in parts per million (`sweep.p_act_bk_ppm`); `None`
-    /// when no probe affected anything.
-    pub p_act_bk_ppm: Option<i64>,
-    /// Effective `P_act-bk` over the *original* established population
-    /// (`storm.p_act_bk_eff_ppm` = survivor probe × storm survival);
-    /// `None` when there was nothing to probe.
-    pub p_act_bk_eff_ppm: Option<i64>,
-    /// The cell's merged manager + orchestrator telemetry.
-    pub telemetry: Telemetry,
-}
-
-impl RestartRow {
-    /// `P_act-bk` as a fraction, if the closing sweep measured one.
-    pub fn p_act_bk(&self) -> Option<f64> {
-        self.p_act_bk_ppm.map(|ppm| ppm as f64 / 1e6)
-    }
-
-    /// Effective `P_act-bk` over the original population, as a fraction.
-    pub fn p_act_bk_eff(&self) -> Option<f64> {
-        self.p_act_bk_eff_ppm.map(|ppm| ppm as f64 / 1e6)
-    }
-
-    /// Projects the row fields out of a merged telemetry registry.
-    fn from_telemetry(cell: RestartCell, telemetry: Telemetry) -> RestartRow {
-        let t = &telemetry;
-        let hist = |p| {
-            t.hist("recovery.latency_us")
-                .map(|h| h.percentile(p))
-                .unwrap_or(0)
-        };
-        RestartRow {
-            cell,
-            established: t.counter("establish.accepted"),
-            restarts: t.counter("restart.events"),
-            recovered_entries: t.counter("restart.recovered_entries"),
-            journaled_rejoins: t.counter("restart.journaled_rejoins"),
-            spurious_switchovers: t.counter("restart.spurious_switchovers"),
-            lost: t.counter("restart.lost_connections"),
-            registrations_lost: t.counter("restart.registrations_lost"),
-            reprotected: t.counter("recovery.reprotected"),
-            orphaned: t.counter("recovery.orphaned"),
-            recovery_p50_us: hist(50),
-            recovery_p95_us: hist(95),
-            survivors: t.gauge("storm.survivors") as u64,
-            p_act_bk_ppm: (t.counter("sweep.affected") > 0).then(|| t.gauge("sweep.p_act_bk_ppm")),
-            p_act_bk_eff_ppm: (t.counter("sweep.affected") > 0 || t.gauge("storm.survivors") == 0)
-                .then(|| t.gauge("storm.p_act_bk_eff_ppm")),
-            telemetry,
+    /// The CI-scale sweep (`campaign --quick`): 40 connections,
+    /// intensities 4 and 8.
+    pub fn quick() -> Self {
+        RestartConfig {
+            connections: 40,
+            intensities: vec![4, 8],
+            ..RestartConfig::default()
         }
     }
 }
 
-/// Runs the sweep serially. See [`run_restart_jobs`].
-pub fn run_restart(cfg: &ExperimentConfig, rcfg: &RestartConfig) -> Vec<RestartRow> {
-    run_restart_jobs(cfg, rcfg, 1)
-}
-
-/// Runs the sweep on at most `jobs` worker threads, one cell per work
-/// item. Cells derive every RNG substream from the master seed and
-/// their own [`RestartCell::tag`], so rows are byte-identical for every
-/// job count.
-pub fn run_restart_jobs(
-    cfg: &ExperimentConfig,
-    rcfg: &RestartConfig,
-    jobs: usize,
-) -> Vec<RestartRow> {
-    let net = Arc::new(cfg.build_network().expect("experiment topology"));
-    let net = &net;
-    crate::par::parallel_map(
-        jobs,
-        rcfg.cells(),
-        || (),
-        |(), cell| run_cell(cfg, rcfg, Arc::clone(net), cell),
-    )
-}
-
-fn run_cell(
-    cfg: &ExperimentConfig,
-    rcfg: &RestartConfig,
+/// The restart storm as a [`Regime`]: one cell per [`RestartCell`], each
+/// with its own scheme instance and manager.
+#[derive(Debug)]
+pub struct RestartCampaign {
+    cfg: ExperimentConfig,
+    rcfg: RestartConfig,
     net: Arc<Network>,
-    cell: RestartCell,
-) -> RestartRow {
-    let tag = cell.tag();
-    let mut scheme = cell.scheme.instantiate();
-    let mut mgr =
-        drt_core::DrtpManager::with_config(Arc::clone(&net), cell.scheme.manager_config());
+}
 
-    // Phase 1: establishment on the paper's uniform workload, shared by
-    // every cell (the scenario substream depends only on the master
-    // seed), so cells differ only in what restarts and what it recalls.
-    let scenario = cfg
-        .scenario_config(0.4, TrafficPattern::ut())
-        .generate(cfg.nodes);
-    let mut established = 0usize;
-    for (_, ev) in scenario.timeline() {
-        if established >= rcfg.connections {
-            break;
+impl RestartCampaign {
+    /// The sweep `rcfg` on the experiment network of `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the experiment topology cannot be built.
+    pub fn new(cfg: &ExperimentConfig, rcfg: &RestartConfig) -> Self {
+        RestartCampaign {
+            cfg: cfg.clone(),
+            rcfg: rcfg.clone(),
+            net: Arc::new(cfg.build_network().expect("experiment topology")),
         }
-        let TimelineEvent::Arrive(rid) = ev else {
-            continue;
-        };
-        let r = scenario.request(rid).expect("valid id");
-        let req = drt_core::routing::RouteRequest::new(
-            ConnectionId::new(rid.index() as u64),
-            r.src,
-            r.dst,
-            scenario.bw_req(),
+    }
+}
+
+impl Regime for RestartCampaign {
+    type Cell = RestartCell;
+    type Worker = ();
+
+    fn cells(&self) -> Vec<RestartCell> {
+        self.rcfg.cells()
+    }
+
+    fn worker(&self) {}
+
+    fn run_cell(&self, _: &mut (), cell: &RestartCell, sweep_jobs: usize) -> CellOutcome {
+        let (cfg, rcfg, net) = (&self.cfg, &self.rcfg, &self.net);
+        let tag = cell.tag();
+        let mut scheme = cell.scheme.instantiate();
+        let mut mgr = DrtpManager::with_config(Arc::clone(net), cell.scheme.manager_config());
+
+        // Phase 1: establishment on the paper's uniform workload, shared by
+        // every cell (the scenario substream depends only on the master
+        // seed), so cells differ only in what restarts and what it recalls.
+        regime::establish(
+            cfg,
+            &mut mgr,
+            scheme.as_mut(),
+            TrafficPattern::ut(),
+            rcfg.connections,
+        );
+
+        // The rolling schedule: a seed-deterministic maintenance order over
+        // the whole node population, shared by every cell of a sweep so the
+        // amnesia and journaled arms restart exactly the same routers in the
+        // same order. Restarts land wherever maintenance does — a restarted
+        // *terminal* that forgot its tables drops its own connections
+        // outright (`restart.lost_connections`), which is part of what
+        // amnesia costs and what the journal prevents.
+        let mut wave_rng = drt_sim::rng::stream(rcfg.seed, "restart-waves");
+        let schedule: Vec<NodeId> = rolling_restart_schedule(net, rcfg.waves, &[], &mut wave_rng)
+            .into_iter()
+            .take(cell.intensity as usize)
+            .collect();
+
+        // Phase 2: the storm. One router down (and back) per round; the
+        // orchestrator re-protects whatever the restart disturbed before the
+        // next wave member goes down.
+        let mut orch = RecoveryOrchestrator::new(net.num_links(), rcfg.policy);
+        let mut now = SimTime::ZERO;
+        for (round, &node) in schedule.iter().enumerate() {
+            let mut inject_rng =
+                drt_sim::rng::indexed_stream(rcfg.seed, &format!("restart-{tag}"), round as u64);
+            let report = mgr
+                .crash_restart_router(node, cell.mode, &mut inject_rng)
+                .expect("restart injection is infallible");
+            // Switched connections run on their promoted backup unprotected;
+            // `unprotected` ones lost the registration that was their only
+            // backup. Both queue for re-protection. The incident links are
+            // back up by the time the report returns, so no link failure is
+            // recorded — the damage is purely state, which is the point.
+            for &id in report.switched.iter().chain(&report.unprotected) {
+                orch.enqueue(now, id);
+            }
+            now = orch.run_to_quiescence(now, &mut mgr, &mut *scheme);
+            now += SimDuration::from_secs(30);
+        }
+
+        let mut t = mgr.telemetry().clone();
+        t.merge(orch.telemetry());
+        let seed = drt_sim::rng::substream_seed(rcfg.seed, &format!("probe-{tag}"));
+        let worst_links = regime::closing_sweep(&mgr, seed, sweep_jobs, &mut t);
+
+        // Effective protection over the original population: the probe only
+        // sees survivors, so scale it by storm survival — a connection the
+        // storm destroyed contributes zero protection, however well the
+        // remaining ones probe.
+        let survivors = mgr
+            .connections()
+            .filter(|c| c.state().is_carrying_traffic())
+            .count() as i64;
+        t.set_gauge("storm.survivors", survivors);
+        let established = t.counter("establish.accepted").max(1) as i64;
+        if let Some(ppm) = t.try_gauge("sweep.p_act_bk_ppm") {
+            t.set_gauge("storm.p_act_bk_eff_ppm", ppm * survivors / established);
+        } else if survivors == 0 {
+            t.set_gauge("storm.p_act_bk_eff_ppm", 0);
+        }
+        CellOutcome {
+            telemetry: t,
+            worst_links,
+        }
+    }
+
+    fn title(&self) -> String {
+        format!(
+            "Restart-storm campaign ({} nodes, {} links)",
+            self.net.num_nodes(),
+            self.net.num_links()
         )
-        .with_backups(cfg.backups_per_connection);
-        if mgr.request_connection(&mut *scheme, req).is_ok() {
-            established += 1;
-        }
     }
 
-    // The rolling schedule: a seed-deterministic maintenance order over
-    // the whole node population, shared by every cell of a sweep so the
-    // amnesia and journaled arms restart exactly the same routers in the
-    // same order. Restarts land wherever maintenance does — a restarted
-    // *terminal* that forgot its tables drops its own connections
-    // outright (`restart.lost_connections`), which is part of what
-    // amnesia costs and what the journal prevents.
-    let mut wave_rng = drt_sim::rng::stream(rcfg.seed, "restart-waves");
-    let schedule: Vec<NodeId> = rolling_restart_schedule(&net, rcfg.waves, &[], &mut wave_rng)
-        .into_iter()
-        .take(cell.intensity as usize)
-        .collect();
-
-    // Phase 2: the storm. One router down (and back) per round; the
-    // orchestrator re-protects whatever the restart disturbed before the
-    // next wave member goes down.
-    let mut orch = RecoveryOrchestrator::new(net.num_links(), rcfg.policy);
-    let mut now = SimTime::ZERO;
-    for (round, &node) in schedule.iter().enumerate() {
-        let mut inject_rng =
-            drt_sim::rng::indexed_stream(rcfg.seed, &format!("restart-{tag}"), round as u64);
-        let report = mgr
-            .crash_restart_router(node, cell.mode, &mut inject_rng)
-            .expect("restart injection is infallible");
-        // Switched connections run on their promoted backup unprotected;
-        // `unprotected` ones lost the registration that was their only
-        // backup. Both queue for re-protection. The incident links are
-        // back up by the time the report returns, so no link failure is
-        // recorded — the damage is purely state, which is the point.
-        for &id in report.switched.iter().chain(&report.unprotected) {
-            orch.enqueue(now, id);
-        }
-        now = orch.run_to_quiescence(now, &mut mgr, &mut *scheme);
-        now += SimDuration::from_secs(30);
+    fn columns(&self) -> Vec<Column<RestartCell>> {
+        use Value::{Count, Hist};
+        vec![
+            Column::left("regime", 15, Value::Cell(|_| REGIME.into())),
+            Column::left("scheme", 6, Value::Cell(|c| c.scheme.label().into())),
+            Column::right("rstr", 4, Count(&["restart.events"])),
+            Column::right(
+                "mode",
+                8,
+                Value::Cell(|c| match c.mode {
+                    RestartMode::Amnesia => "amnesia".into(),
+                    RestartMode::Journaled => "journal".into(),
+                }),
+            ),
+            Column::right("estab", 6, Count(&["establish.accepted"])),
+            Column::right("surv", 5, Value::Gauge("storm.survivors")),
+            Column::right("recov", 6, Count(&["restart.recovered_entries"])),
+            Column::right("spur-sw", 7, Count(&["restart.spurious_switchovers"])),
+            Column::right("lost", 5, Count(&["restart.lost_connections"])),
+            Column::right("reg-lst", 7, Count(&["restart.registrations_lost"])),
+            Column::right("reprot", 7, Count(&["recovery.reprotected"])),
+            Column::right("orphan", 6, Count(&["recovery.orphaned"])),
+            Column::right(
+                "rec-p50",
+                9,
+                Hist("recovery.latency_us", Stat::Pct(50), Unit::Auto),
+            ),
+            Column::right(
+                "rec-p95",
+                9,
+                Hist("recovery.latency_us", Stat::Pct(95), Unit::Auto),
+            ),
+            Column::right("P_act-bk", 9, Value::Ppm("sweep.p_act_bk_ppm")),
+            Column::right("P_eff", 9, Value::Ppm("storm.p_act_bk_eff_ppm")),
+        ]
     }
 
-    mgr.assert_invariants();
-    let _ = mgr.sweep_single_failures_recorded(drt_sim::rng::substream_seed(
-        rcfg.seed,
-        &format!("probe-{tag}"),
-    ));
-
-    // Effective protection over the original population: the probe only
-    // sees survivors, so scale it by storm survival — a connection the
-    // storm destroyed contributes zero protection, however well the
-    // remaining ones probe.
-    let survivors = mgr
-        .connections()
-        .filter(|c| c.state().is_carrying_traffic())
-        .count() as u64;
-    let established_n = mgr.telemetry().counter("establish.accepted").max(1);
-    orch.telemetry_mut()
-        .set_gauge("storm.survivors", survivors as i64);
-    if mgr.telemetry().counter("sweep.affected") > 0 {
-        let eff =
-            mgr.telemetry().gauge("sweep.p_act_bk_ppm") * survivors as i64 / established_n as i64;
-        orch.telemetry_mut()
-            .set_gauge("storm.p_act_bk_eff_ppm", eff);
-    } else if survivors == 0 {
-        orch.telemetry_mut().set_gauge("storm.p_act_bk_eff_ppm", 0);
-    }
-
-    let mut telemetry = mgr.telemetry().clone();
-    telemetry.merge(orch.telemetry());
-    RestartRow::from_telemetry(cell, telemetry)
-}
-
-/// Merges every row's telemetry into one campaign-wide registry, in
-/// canonical row order (merge is commutative over counters and
-/// histograms; gauges take the last row's value).
-pub fn merged_telemetry(rows: &[RestartRow]) -> Telemetry {
-    let mut out = Telemetry::new();
-    for r in rows {
-        out.merge(&r.telemetry);
-    }
-    out
-}
-
-/// Renders the sweep as a table, one row per cell.
-pub fn render(net: &Network, rows: &[RestartRow]) -> String {
-    let mut out = format!(
-        "Restart-storm campaign ({} nodes, {} links)\n",
-        net.num_nodes(),
-        net.num_links()
-    );
-    out.push_str(&format!(
-        "{:<15} {:<6} {:>4} {:>8} {:>6} {:>5} {:>6} {:>7} {:>5} {:>7} {:>7} {:>6} {:>9} {:>9} {:>9} {:>9}\n",
-        "regime",
-        "scheme",
-        "rstr",
-        "mode",
-        "estab",
-        "surv",
-        "recov",
-        "spur-sw",
-        "lost",
-        "reg-lst",
-        "reprot",
-        "orphan",
-        "rec-p50",
-        "rec-p95",
-        "P_act-bk",
-        "P_eff"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<15} {:<6} {:>4} {:>8} {:>6} {:>5} {:>6} {:>7} {:>5} {:>7} {:>7} {:>6} {:>9} {:>9} {:>9} {:>9}\n",
-            RestartRegime::RestartStorm.label(),
-            r.cell.scheme.label(),
-            r.restarts,
-            match r.cell.mode {
-                RestartMode::Amnesia => "amnesia",
-                RestartMode::Journaled => "journal",
-            },
-            r.established,
-            r.survivors,
-            r.recovered_entries,
-            r.spurious_switchovers,
-            r.lost,
-            r.registrations_lost,
-            r.reprotected,
-            r.orphaned,
-            fmt_us(r.recovery_p50_us),
-            fmt_us(r.recovery_p95_us),
-            r.p_act_bk()
-                .map(|p| format!("{p:.4}"))
-                .unwrap_or_else(|| "-".into()),
-            r.p_act_bk_eff()
-                .map(|p| format!("{p:.4}"))
-                .unwrap_or_else(|| "-".into()),
-        ));
-    }
-    out.push('\n');
-    out.push_str(&format!(
-        "  rstr under {:<15} = {}\n",
-        RestartRegime::RestartStorm.label(),
-        RestartRegime::RestartStorm.intensity_meaning()
-    ));
-    out.push_str(
-        "  P_act-bk probes the storm's survivors; P_eff scales it by storm\n\
-         \x20 survival, pricing the connections amnesia destroyed outright\n",
-    );
-    out
-}
-
-fn fmt_us(us: u64) -> String {
-    if us == 0 {
-        "-".into()
-    } else if us >= 1_000_000 {
-        format!("{:.2}s", us as f64 / 1e6)
-    } else {
-        format!("{:.1}ms", us as f64 / 1e3)
+    fn footer(&self, _: &Telemetry) -> String {
+        format!(
+            "\n  rstr under {REGIME:<15} = routers restarted (rolling, one at a time)\n\
+             \x20 P_act-bk probes the storm's survivors; P_eff scales it by storm\n\
+             \x20 survival, pricing the connections amnesia destroyed outright\n\n\
+             reading guide: every cell runs twice — `amnesia` restarts lose\n\
+             all router state (spurious switchovers `spur-sw`, forgotten\n\
+             backup registrations `reg-lst`, connections dropped outright by\n\
+             a restarted terminal `lost`), `journal` restarts replay the\n\
+             write-ahead journal and resync with their neighbours (`recov`\n\
+             table entries recovered, nothing else moves). The orchestrator\n\
+             re-protects whatever each restart disturbed before the next\n\
+             wave member goes down. `P_act-bk` probes the survivors; `P_eff`\n\
+             scales it by storm survival, pricing destroyed connections.\n\
+             The table is deterministic per seed and byte-identical for\n\
+             every --jobs.\n\n"
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regime::{merged, render, run};
 
     fn small() -> (ExperimentConfig, RestartConfig) {
         let mut cfg = ExperimentConfig::quick(3.0);
@@ -502,12 +344,9 @@ mod tests {
 
     #[test]
     fn labels_roundtrip_and_both_modes_always_run() {
-        for r in RestartRegime::ALL {
-            assert_eq!(RestartRegime::parse(r.label()), Some(r));
-        }
-        assert_eq!(RestartRegime::parse("nope"), None);
         let (_, rcfg) = small();
         let cells = rcfg.cells();
+        assert!(cells.iter().all(|c| c.tag().starts_with(REGIME)));
         assert_eq!(cells.len(), 2, "one scheme x one intensity x two modes");
         assert!(cells.iter().any(|c| c.mode == RestartMode::Amnesia));
         assert!(cells.iter().any(|c| c.mode == RestartMode::Journaled));
@@ -516,79 +355,117 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_per_seed() {
         let (cfg, rcfg) = small();
-        let a = run_restart(&cfg, &rcfg);
-        let b = run_restart(&cfg, &rcfg);
+        let sweep = RestartCampaign::new(&cfg, &rcfg);
+        let a = run(&sweep, 1);
+        let b = run(&sweep, 1);
         assert_eq!(a, b);
         let other = RestartConfig { seed: 14, ..rcfg };
-        let c = run_restart(&cfg, &other);
-        assert_ne!(a, c, "different seed must move some field");
+        let other = RestartCampaign::new(&cfg, &other);
+        let c = run(&other, 1);
+        assert_ne!(
+            render(&sweep, &a),
+            render(&other, &c),
+            "different seed must move some field"
+        );
     }
 
     #[test]
     fn parallel_sweep_matches_serial() {
         let (cfg, rcfg) = small();
-        let serial = run_restart_jobs(&cfg, &rcfg, 1);
-        let par = run_restart_jobs(&cfg, &rcfg, 3);
+        let sweep = RestartCampaign::new(&cfg, &rcfg);
+        let serial = run(&sweep, 1);
+        let par = run(&sweep, 3);
         assert_eq!(serial, par);
     }
 
     #[test]
     fn rows_are_projections_of_their_telemetry() {
         let (cfg, rcfg) = small();
-        for row in run_restart(&cfg, &rcfg) {
-            let again = RestartRow::from_telemetry(row.cell, row.telemetry.clone());
-            assert_eq!(row, again, "row fields must come from telemetry alone");
-            assert!(row.established > 0);
-            assert_eq!(row.restarts, 6);
+        let sweep = RestartCampaign::new(&cfg, &rcfg);
+        let rows = run(&sweep, 1);
+        let table = render(&sweep, &rows);
+        for ((cell, o), line) in rows.iter().zip(table.lines().skip(2)) {
+            // A one-row table rebuilt from a copy of the telemetry alone.
+            let telemetry = o.telemetry.clone();
+            let again = render(
+                &sweep,
+                &[(
+                    *cell,
+                    CellOutcome {
+                        telemetry,
+                        worst_links: Vec::new(),
+                    },
+                )],
+            );
+            assert_eq!(
+                again.lines().nth(2),
+                Some(line),
+                "row fields must come from telemetry alone"
+            );
+            assert!(o.telemetry.counter("establish.accepted") > 0);
+            assert_eq!(o.telemetry.counter("restart.events"), 6);
         }
     }
 
     #[test]
     fn journaled_rejoin_is_lossless_where_amnesia_bleeds() {
         let (cfg, rcfg) = small();
-        let rows = run_restart(&cfg, &rcfg);
-        let amnesia = rows
-            .iter()
-            .find(|r| r.cell.mode == RestartMode::Amnesia)
-            .unwrap();
-        let journaled = rows
-            .iter()
-            .find(|r| r.cell.mode == RestartMode::Journaled)
-            .unwrap();
+        let rows = run(&RestartCampaign::new(&cfg, &rcfg), 1);
+        let arm = |mode| {
+            &rows
+                .iter()
+                .find(|(c, _)| c.mode == mode)
+                .unwrap()
+                .1
+                .telemetry
+        };
+        let amnesia = arm(RestartMode::Amnesia);
+        let journaled = arm(RestartMode::Journaled);
 
         // The issue's acceptance criterion, telemetry-asserted: durable
         // state makes rejoin invisible — every surviving DR-connection
         // keeps its tables, zero switchovers fire, nothing is lost —
         // while amnesia turns each restart into real protection damage.
-        assert_eq!(journaled.spurious_switchovers, 0);
-        assert_eq!(journaled.lost, 0);
-        assert_eq!(journaled.registrations_lost, 0);
-        assert_eq!(journaled.survivors, journaled.established);
+        assert_eq!(journaled.counter("restart.spurious_switchovers"), 0);
+        assert_eq!(journaled.counter("restart.lost_connections"), 0);
+        assert_eq!(journaled.counter("restart.registrations_lost"), 0);
+        assert_eq!(
+            journaled.gauge("storm.survivors") as u64,
+            journaled.counter("establish.accepted")
+        );
         assert!(
-            journaled.recovered_entries > 0,
+            journaled.counter("restart.recovered_entries") > 0,
             "replay+resync recovered state"
         );
-        assert_eq!(journaled.journaled_rejoins, journaled.restarts);
+        assert_eq!(
+            journaled.counter("restart.journaled_rejoins"),
+            journaled.counter("restart.events")
+        );
 
         assert!(
-            amnesia.spurious_switchovers > 0,
+            amnesia.counter("restart.spurious_switchovers") > 0,
             "amnesia restarts must switch"
         );
         assert!(
-            amnesia.lost > 0,
+            amnesia.counter("restart.lost_connections") > 0,
             "forgetful terminals drop their connections"
         );
-        assert_eq!(amnesia.recovered_entries, 0);
+        assert_eq!(amnesia.counter("restart.recovered_entries"), 0);
         // Both arms saw the identical establishment phase and schedule.
-        assert_eq!(amnesia.established, journaled.established);
-        assert_eq!(amnesia.restarts, journaled.restarts);
+        for key in ["establish.accepted", "restart.events"] {
+            assert_eq!(amnesia.counter(key), journaled.counter(key));
+        }
 
         // And the storm's residue prices out: over the original
         // population the amnesia arm ends with measurably less of its
         // protection probability.
         let (a, j) = (
-            amnesia.p_act_bk_eff_ppm.expect("probe ran"),
-            journaled.p_act_bk_eff_ppm.expect("probe ran"),
+            amnesia
+                .try_gauge("storm.p_act_bk_eff_ppm")
+                .expect("probe ran"),
+            journaled
+                .try_gauge("storm.p_act_bk_eff_ppm")
+                .expect("probe ran"),
         );
         assert!(
             a < j,
@@ -599,12 +476,12 @@ mod tests {
     #[test]
     fn table_renders_every_cell() {
         let (cfg, rcfg) = small();
-        let net = cfg.build_network().unwrap();
-        let rows = run_restart(&cfg, &rcfg);
-        let table = render(&net, &rows);
+        let sweep = RestartCampaign::new(&cfg, &rcfg);
+        let rows = run(&sweep, 1);
+        let table = render(&sweep, &rows);
         assert!(table.contains("P_act-bk"));
         assert!(table.contains("amnesia") && table.contains("journal"));
-        let merged = merged_telemetry(&rows);
+        let merged = merged(&rows);
         assert!(merged.counter("restart.events") > 0);
         assert!(!merged.snapshot().is_empty());
     }

@@ -1,21 +1,12 @@
 //! The parallel-runner determinism contract, end to end: every sweep's
 //! rendered output must be byte-identical whatever the worker count.
 
-use drt_experiments::adversarial::{
-    merged_telemetry, render as render_adversarial, run_adversarial_jobs, AdversarialConfig,
-};
-use drt_experiments::campaign::{
-    render, render_breakdown, render_header, render_row, run_campaign_jobs, stream_campaign,
-    CampaignConfig,
-};
+use drt_experiments::adversarial::{AdversarialCampaign, AdversarialConfig};
+use drt_experiments::campaign::{CampaignConfig, LossCampaign};
 use drt_experiments::config::ExperimentConfig;
-use drt_experiments::multi_failure::{
-    prepare_network, render as render_multi, run_multi_failure_jobs, MultiFailureConfig,
-};
-use drt_experiments::restart::{
-    merged_telemetry as merged_restart_telemetry, render as render_restart, run_restart_jobs,
-    RestartConfig,
-};
+use drt_experiments::multi_failure::{MultiFailureCampaign, MultiFailureConfig};
+use drt_experiments::regime::{merged, render, run, stream};
+use drt_experiments::restart::{RestartCampaign, RestartConfig};
 use drt_experiments::runner::{run_matrix_jobs, SchemeKind};
 use drt_sim::workload::TrafficPattern;
 
@@ -35,10 +26,10 @@ fn campaign_table_is_byte_identical_across_job_counts() {
         max_attempts: 10,
         seed: 13,
     };
-    let net = cfg.build_network().unwrap();
-    let serial = render(&net, &run_campaign_jobs(&cfg, &ccfg, 1));
+    let sweep = LossCampaign::new(&cfg, &ccfg);
+    let serial = render(&sweep, &run(&sweep, 1));
     for jobs in [2, 3, 8] {
-        let par = render(&net, &run_campaign_jobs(&cfg, &ccfg, jobs));
+        let par = render(&sweep, &run(&sweep, jobs));
         assert_eq!(serial, par, "jobs={jobs} changed the table bytes");
     }
 }
@@ -56,9 +47,9 @@ fn campaign_sweep_table_is_byte_identical_for_jobs_1_and_8() {
         max_attempts: 10,
         seed: 13,
     };
-    let net = cfg.build_network().unwrap();
-    let serial = render(&net, &run_campaign_jobs(&cfg, &ccfg, 1));
-    let par = render(&net, &run_campaign_jobs(&cfg, &ccfg, 8));
+    let sweep = LossCampaign::new(&cfg, &ccfg);
+    let serial = render(&sweep, &run(&sweep, 1));
+    let par = render(&sweep, &run(&sweep, 8));
     assert_eq!(serial, par, "sharded closing sweep changed the table bytes");
 }
 
@@ -72,17 +63,12 @@ fn streamed_output_reproduces_batch_render() {
         max_attempts: 10,
         seed: 13,
     };
-    let net = cfg.build_network().unwrap();
-    let batch = render(&net, &run_campaign_jobs(&cfg, &ccfg, 1));
+    let sweep = LossCampaign::new(&cfg, &ccfg);
+    let batch = render(&sweep, &run(&sweep, 1));
     // Exactly what the campaign binary does: header, rows as they
     // complete, breakdowns buffered to the end.
-    let mut streamed = render_header(&net);
-    let mut breakdowns = String::new();
-    stream_campaign(&cfg, &ccfg, 8, |row| {
-        streamed.push_str(&render_row(&row));
-        breakdowns.push_str(&render_breakdown(&row));
-    });
-    streamed.push_str(&breakdowns);
+    let mut streamed = String::new();
+    stream(&sweep, 8, |s| streamed.push_str(s));
     assert_eq!(batch, streamed);
 }
 
@@ -95,9 +81,9 @@ fn multi_failure_table_is_byte_identical_across_job_counts() {
         seed: 13,
         ..MultiFailureConfig::default()
     };
-    let net = prepare_network(&cfg, &mcfg);
-    let serial = render_multi(&net, &run_multi_failure_jobs(&cfg, &mcfg, 1));
-    let par = render_multi(&net, &run_multi_failure_jobs(&cfg, &mcfg, 8));
+    let sweep = MultiFailureCampaign::new(&cfg, &mcfg);
+    let serial = render(&sweep, &run(&sweep, 1));
+    let par = render(&sweep, &run(&sweep, 8));
     assert_eq!(serial, par);
 }
 
@@ -114,20 +100,20 @@ fn adversarial_table_and_telemetry_are_byte_identical_across_job_counts() {
         seed: 13,
         ..AdversarialConfig::default()
     };
-    let net = cfg.build_network().unwrap();
-    let serial_rows = run_adversarial_jobs(&cfg, &acfg, 1);
-    let serial = render_adversarial(&net, &serial_rows);
-    let serial_tel = merged_telemetry(&serial_rows).snapshot();
+    let sweep = AdversarialCampaign::new(&cfg, &acfg);
+    let serial_rows = run(&sweep, 1);
+    let serial = render(&sweep, &serial_rows);
+    let serial_tel = merged(&serial_rows).snapshot();
     for jobs in [2, 8] {
-        let rows = run_adversarial_jobs(&cfg, &acfg, jobs);
+        let rows = run(&sweep, jobs);
         assert_eq!(
             serial,
-            render_adversarial(&net, &rows),
+            render(&sweep, &rows),
             "jobs={jobs} changed the table bytes"
         );
         assert_eq!(
             serial_tel,
-            merged_telemetry(&rows).snapshot(),
+            merged(&rows).snapshot(),
             "jobs={jobs} changed the telemetry snapshot bytes"
         );
     }
@@ -146,19 +132,19 @@ fn restart_storm_is_byte_identical_for_jobs_1_and_8() {
         seed: 13,
         ..RestartConfig::default()
     };
-    let net = cfg.build_network().unwrap();
-    let serial_rows = run_restart_jobs(&cfg, &rcfg, 1);
-    let serial = render_restart(&net, &serial_rows);
-    let serial_tel = merged_restart_telemetry(&serial_rows).snapshot();
-    let rows = run_restart_jobs(&cfg, &rcfg, 8);
+    let sweep = RestartCampaign::new(&cfg, &rcfg);
+    let serial_rows = run(&sweep, 1);
+    let serial = render(&sweep, &serial_rows);
+    let serial_tel = merged(&serial_rows).snapshot();
+    let rows = run(&sweep, 8);
     assert_eq!(
         serial,
-        render_restart(&net, &rows),
+        render(&sweep, &rows),
         "jobs=8 changed the table bytes"
     );
     assert_eq!(
         serial_tel,
-        merged_restart_telemetry(&rows).snapshot(),
+        merged(&rows).snapshot(),
         "jobs=8 changed the telemetry snapshot bytes"
     );
 }
