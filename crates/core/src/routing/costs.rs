@@ -17,7 +17,6 @@ use crate::routing::RoutingOverhead;
 use crate::{DrtpError, ManagerView};
 use drt_net::algo::shortest_path;
 use drt_net::{LinkId, Route};
-use std::collections::BTreeSet;
 
 /// The paper's "very large constant" `Q`. Any path containing a `Q`-link
 /// costs more than any path free of them (`Q` exceeds the largest possible
@@ -58,15 +57,14 @@ pub(crate) fn lsr_backup(
 ) -> Result<Route, DrtpError> {
     let eps = epsilon(view.net().num_links());
     let bw = req.bandwidth();
-    let mut q_links: BTreeSet<LinkId> = primary.links().iter().copied().collect();
-    for r in avoid {
-        q_links.extend(r.links().iter().copied());
-    }
     shortest_path(view.net(), req.src, req.dst, |l| {
         if !view.alive(l) {
             return None;
         }
-        let q = if q_links.contains(&l) || !view.usable_for_backup(l, bw) {
+        // Routes are a handful of links long: scanning them beats
+        // collecting them into a set on every request.
+        let on_route = primary.contains_link(l) || avoid.iter().any(|r| r.contains_link(l));
+        let q = if on_route || !view.usable_for_backup(l, bw) {
             Q
         } else {
             0.0
@@ -126,11 +124,17 @@ pub(crate) fn lsa_overhead(
 /// primary's links (available bandwidth moved) plus every backup's links
 /// (APLV/CV and spare moved).
 pub(crate) fn changed_links(primary: &Route, backups: &[Route]) -> usize {
-    let mut set: BTreeSet<LinkId> = primary.links().iter().copied().collect();
-    for b in backups {
-        set.extend(b.links().iter().copied());
-    }
-    set.len()
+    // Routes are short: count each link at its first occurrence instead of
+    // collecting them into a set.
+    let links = || {
+        std::iter::once(primary)
+            .chain(backups)
+            .flat_map(|r| r.links().iter().copied())
+    };
+    links()
+        .enumerate()
+        .filter(|&(i, l)| !links().take(i).any(|e| e == l))
+        .count()
 }
 
 #[cfg(test)]
@@ -151,6 +155,22 @@ mod tests {
         // on every link) stays far below Q.
         let worst_conflict_sum = 1e6;
         assert!(Q > worst_conflict_sum * 100.0);
+    }
+
+    #[test]
+    fn changed_links_counts_distinct_links() {
+        let net = drt_net::topology::ring(6, drt_net::Bandwidth::from_mbps(10)).unwrap();
+        let route = |nodes: &[u32]| {
+            let nodes: Vec<_> = nodes.iter().map(|&i| drt_net::NodeId::new(i)).collect();
+            Route::from_nodes(&net, &nodes).unwrap()
+        };
+        let primary = route(&[0, 1, 2, 3]);
+        let b1 = route(&[0, 5, 4, 3]);
+        // Only 1->0 is new: 0->1 is the primary's, 0->5 and 5->4 are b1's.
+        let b2 = route(&[0, 1, 0, 5, 4]);
+        assert_eq!(changed_links(&primary, &[]), 3);
+        assert_eq!(changed_links(&primary, std::slice::from_ref(&b1)), 6);
+        assert_eq!(changed_links(&primary, &[b1, b2]), 7);
     }
 
     #[test]

@@ -70,11 +70,11 @@ impl RoutingScheme for DLsr {
         req: &RouteRequest,
     ) -> Result<RoutePair, DrtpError> {
         let primary = min_hop_primary(view, req.src, req.dst, req.bandwidth())?;
-        let primary_lset = primary.links().to_vec();
-        let lset_cv = view.densify_lset(&primary_lset);
+        let primary_lset = primary.links();
+        let lset_cv = view.densify_lset(primary_lset);
         let backups = if self.sparse {
             lsr_backups(view, req, &primary, |l| {
-                view.conflict_count(l, &primary_lset) as f64
+                view.conflict_count(l, primary_lset) as f64
             })?
         } else {
             lsr_backups(view, req, &primary, |l| {
@@ -101,11 +101,11 @@ impl RoutingScheme for DLsr {
         primary: &Route,
         existing: &[Route],
     ) -> Result<(Route, RoutingOverhead), DrtpError> {
-        let primary_lset = primary.links().to_vec();
-        let lset_cv = view.densify_lset(&primary_lset);
+        let primary_lset = primary.links();
+        let lset_cv = view.densify_lset(primary_lset);
         let backup = if self.sparse {
             lsr_backup(view, req, primary, existing, |l| {
-                view.conflict_count(l, &primary_lset) as f64
+                view.conflict_count(l, primary_lset) as f64
             })?
         } else {
             lsr_backup(view, req, primary, existing, |l| {

@@ -14,6 +14,10 @@ use std::fmt;
 /// field additionally records the traversed links — the paper
 /// reconstructs them from `list`; carrying them directly is equivalent and
 /// unambiguous in a multigraph-free network.
+///
+/// [`flood`](super::flood) simulates the same packets without building
+/// one `Cdp` per copy: it keeps each copy's trail as a chain of arena
+/// records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cdp {
     /// The connection being discovered (`conn-id`).
@@ -41,6 +45,13 @@ pub struct Cdp {
 /// Fixed header size of a CDP on the wire: ids, hop counts, bandwidth,
 /// flags (modelled after the field list of Section 4.1).
 pub(crate) const CDP_HEADER_BYTES: u64 = 28;
+
+/// Size on the wire of a CDP whose trail holds `trail_len` nodes: the
+/// header plus 4 bytes per trail entry. The trail gains one node per hop,
+/// so a copy's trail length equals its `hc_curr`.
+pub(crate) const fn cdp_wire_bytes(trail_len: u64) -> u64 {
+    CDP_HEADER_BYTES + 4 * trail_len
+}
 
 impl Cdp {
     /// The initial CDP composed by the source (Section 4.2).
@@ -78,7 +89,7 @@ impl Cdp {
 
     /// Size of this packet on the wire (header + 4 bytes per trail entry).
     pub fn wire_bytes(&self) -> u64 {
-        CDP_HEADER_BYTES + 4 * self.list.len() as u64
+        cdp_wire_bytes(self.list.len() as u64)
     }
 }
 
@@ -132,6 +143,21 @@ mod tests {
         let fwd3 = fwd2.forwarded(NodeId::new(3), LinkId::new(1), true);
         assert!(!fwd3.primary_flag);
         assert_eq!(fwd3.wire_bytes(), CDP_HEADER_BYTES + 12);
+    }
+
+    #[test]
+    fn wire_bytes_follow_the_shared_formula_at_every_hop() {
+        let mut c = Cdp::initial(
+            ConnectionId::new(1),
+            NodeId::new(0),
+            NodeId::new(9),
+            9,
+            Bandwidth::from_kbps(3_000),
+        );
+        for hop in 0..8u32 {
+            assert_eq!(c.wire_bytes(), cdp_wire_bytes(u64::from(c.hc_curr)));
+            c = c.forwarded(NodeId::new(hop), LinkId::new(hop), hop % 3 != 0);
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The flooding engine: simulates one CDP flood at message granularity.
 
-use crate::routing::flooding::{Candidate, Cdp, FloodingParams};
+use super::cdp::cdp_wire_bytes;
+use crate::routing::flooding::{Candidate, FloodingParams};
 use crate::routing::{RouteRequest, RoutingOverhead};
 use crate::ManagerView;
-use drt_net::{NodeId, Route};
-use std::collections::VecDeque;
+use drt_net::{LinkId, NodeId, Route};
 
 /// Result of one bounded flood.
 #[derive(Debug, Clone)]
@@ -36,6 +36,14 @@ pub struct FloodOutcome {
 ///
 /// Messages are processed in FIFO order, which makes the flood — and thus
 /// the whole scheme — deterministic.
+///
+/// The copies in flight are not materialised as [`Cdp`](super::Cdp)s.
+/// Each forward appends one fixed-size record to a per-flood arena, which
+/// doubles as the FIFO queue; a copy's trail (the CDP's `list` and `path`)
+/// is the chain of records back to the source, walked for the
+/// loop-freedom test and turned into a route only when the copy reaches
+/// the destination. Bytes are accounted as
+/// [`Cdp::wire_bytes`](super::Cdp::wire_bytes) would for the same copy.
 pub fn flood(view: &ManagerView<'_>, req: &RouteRequest, params: FloodingParams) -> FloodOutcome {
     let net = view.net();
     let mut outcome = FloodOutcome {
@@ -54,11 +62,151 @@ pub fn flood(view: &ManagerView<'_>, req: &RouteRequest, params: FloodingParams)
 
     // Pending-connection-table state: min_dist per node for this flood.
     let mut pct_min: Vec<Option<u32>> = vec![None; net.num_nodes()];
-    let mut queue: VecDeque<(NodeId, Cdp)> = VecDeque::new();
+    // Every forwarded copy, in send order; `head` is the FIFO's front.
+    let mut arena: Vec<CdpCopy> = Vec::new();
 
-    // Forward all admissible copies out of `holder`.
+    // Forward all admissible copies out of `holder`, which holds the copy
+    // at arena index `at` (`None` for the source's initial CDP).
     let forward =
-        |holder: NodeId, m: &Cdp, queue: &mut VecDeque<(NodeId, Cdp)>, out: &mut FloodOutcome| {
+        |holder: NodeId, at: Option<usize>, arena: &mut Vec<CdpCopy>, out: &mut FloodOutcome| {
+            let (hc, primary) = at.map_or((0, true), |i| (arena[i].hc, arena[i].primary));
+            for &lid in net.out_links(holder) {
+                let k = net.link(lid).dst();
+                // Bandwidth test (includes liveness): the link must offer
+                // backup headroom.
+                if !view.usable_for_backup(lid, bw) {
+                    continue;
+                }
+                // Loop-freedom test: the trail holds the tail node of every
+                // link on the chain back to the source.
+                if k == req.src || chain(arena, at).any(|c| net.link(c.link).src() == k) {
+                    continue;
+                }
+                // Distance test: can the CDP still reach the destination
+                // within the limit after taking this hop?
+                let Some(rest) = view.hops().hops(k, req.dst) else {
+                    continue;
+                };
+                if hc + 1 + rest > hc_limit {
+                    continue;
+                }
+                out.overhead.messages += 1;
+                // The child's trail is one entry per hop taken.
+                out.overhead.bytes += cdp_wire_bytes(u64::from(hc + 1));
+                arena.push(CdpCopy {
+                    node: k,
+                    link: lid,
+                    parent: at,
+                    hc: hc + 1,
+                    primary: primary && bw <= view.free(lid),
+                });
+            }
+        };
+
+    // Source action (Section 4.2).
+    forward(req.src, None, &mut arena, &mut outcome);
+    pct_min[req.src.index()] = Some(0);
+
+    // Message loop.
+    let mut head = 0;
+    while let Some(&m) = arena.get(head) {
+        let at = Some(head);
+        head += 1;
+        if m.node == req.dst {
+            // Destination action (Section 4.4): fill the CRT.
+            if outcome.candidates.len() < params.max_candidates {
+                let mut path: Vec<LinkId> = chain(&arena, at).map(|c| c.link).collect();
+                path.reverse();
+                if let Ok(route) = Route::new(net, path) {
+                    outcome.candidates.push(Candidate {
+                        route,
+                        primary_flag: m.primary,
+                        hops: m.hc,
+                    });
+                }
+            }
+            continue;
+        }
+        // Valid-detour test (Section 4.3) against this node's PCT entry.
+        if let Some(best) = pct_min[m.node.index()] {
+            if m.hc as f64 > params.alpha * best as f64 + params.beta as f64 {
+                continue;
+            }
+            pct_min[m.node.index()] = Some(best.min(m.hc));
+        } else {
+            pct_min[m.node.index()] = Some(m.hc);
+        }
+        if outcome.overhead.messages >= params.max_messages {
+            outcome.truncated = true;
+            break;
+        }
+        forward(m.node, at, &mut arena, &mut outcome);
+    }
+
+    outcome
+}
+
+/// One forwarded CDP copy in a flood's arena: the fields of
+/// [`Cdp`](super::Cdp) that differ between copies, with the trail
+/// replaced by a parent index.
+#[derive(Debug, Clone, Copy)]
+struct CdpCopy {
+    /// The node the copy is sent to.
+    node: NodeId,
+    /// The link it crosses to get there.
+    link: LinkId,
+    /// Arena index of the copy it was forwarded from; `None` when the
+    /// source sent it.
+    parent: Option<usize>,
+    /// Hops taken, this one included (`hc-curr`).
+    hc: u32,
+    /// The CDP's `primary-flag`.
+    primary: bool,
+}
+
+/// The copies from `at` back to the one the source sent, nearest first.
+fn chain(arena: &[CdpCopy], at: Option<usize>) -> impl Iterator<Item = &CdpCopy> {
+    std::iter::successors(at.map(|i| &arena[i]), |c| c.parent.map(|i| &arena[i]))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::routing::flooding::Cdp;
+    use std::collections::VecDeque;
+
+    /// The clone-per-copy engine the arena flood replaced, kept unedited
+    /// as the oracle of [`flood`]: every forward clones the CDP's `list`
+    /// and `path`.
+    fn flood_reference(
+        view: &ManagerView<'_>,
+        req: &RouteRequest,
+        params: FloodingParams,
+    ) -> FloodOutcome {
+        let net = view.net();
+        let mut outcome = FloodOutcome {
+            candidates: Vec::new(),
+            overhead: RoutingOverhead::ZERO,
+            truncated: false,
+        };
+        let Some(min_dist) = view.hops().hops(req.src, req.dst) else {
+            return outcome; // destination unreachable
+        };
+        if req.src == req.dst {
+            return outcome;
+        }
+        let hc_limit = (params.rho * min_dist as f64).ceil() as u32 + params.rho_offset;
+        let bw = req.bandwidth();
+
+        // Pending-connection-table state: min_dist per node for this flood.
+        let mut pct_min: Vec<Option<u32>> = vec![None; net.num_nodes()];
+        let mut queue: VecDeque<(NodeId, Cdp)> = VecDeque::new();
+
+        // Forward all admissible copies out of `holder`.
+        let forward = |holder: NodeId,
+                       m: &Cdp,
+                       queue: &mut VecDeque<(NodeId, Cdp)>,
+                       out: &mut FloodOutcome| {
             for &lid in net.out_links(holder) {
                 let k = net.link(lid).dst();
                 // Bandwidth test (includes liveness): the link must offer
@@ -85,48 +233,44 @@ pub fn flood(view: &ManagerView<'_>, req: &RouteRequest, params: FloodingParams)
             }
         };
 
-    // Source action (Section 4.2).
-    let initial = Cdp::initial(req.id, req.src, req.dst, hc_limit, bw);
-    forward(req.src, &initial, &mut queue, &mut outcome);
-    pct_min[req.src.index()] = Some(0);
+        // Source action (Section 4.2).
+        let initial = Cdp::initial(req.id, req.src, req.dst, hc_limit, bw);
+        forward(req.src, &initial, &mut queue, &mut outcome);
+        pct_min[req.src.index()] = Some(0);
 
-    // Message loop.
-    while let Some((node, m)) = queue.pop_front() {
-        if node == m.dst {
-            // Destination action (Section 4.4): fill the CRT.
-            if outcome.candidates.len() < params.max_candidates {
-                if let Ok(route) = Route::new(net, m.path.clone()) {
-                    outcome.candidates.push(Candidate {
-                        route,
-                        primary_flag: m.primary_flag,
-                        hops: m.hc_curr,
-                    });
+        // Message loop.
+        while let Some((node, m)) = queue.pop_front() {
+            if node == m.dst {
+                // Destination action (Section 4.4): fill the CRT.
+                if outcome.candidates.len() < params.max_candidates {
+                    if let Ok(route) = Route::new(net, m.path.clone()) {
+                        outcome.candidates.push(Candidate {
+                            route,
+                            primary_flag: m.primary_flag,
+                            hops: m.hc_curr,
+                        });
+                    }
                 }
-            }
-            continue;
-        }
-        // Valid-detour test (Section 4.3) against this node's PCT entry.
-        if let Some(best) = pct_min[node.index()] {
-            if m.hc_curr as f64 > params.alpha * best as f64 + params.beta as f64 {
                 continue;
             }
-            pct_min[node.index()] = Some(best.min(m.hc_curr));
-        } else {
-            pct_min[node.index()] = Some(m.hc_curr);
+            // Valid-detour test (Section 4.3) against this node's PCT entry.
+            if let Some(best) = pct_min[node.index()] {
+                if m.hc_curr as f64 > params.alpha * best as f64 + params.beta as f64 {
+                    continue;
+                }
+                pct_min[node.index()] = Some(best.min(m.hc_curr));
+            } else {
+                pct_min[node.index()] = Some(m.hc_curr);
+            }
+            if outcome.overhead.messages >= params.max_messages {
+                outcome.truncated = true;
+                break;
+            }
+            forward(node, &m, &mut queue, &mut outcome);
         }
-        if outcome.overhead.messages >= params.max_messages {
-            outcome.truncated = true;
-            break;
-        }
-        forward(node, &m, &mut queue, &mut outcome);
+
+        outcome
     }
-
-    outcome
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
     use crate::{ConnectionId, DrtpManager};
     use drt_net::{topology, Bandwidth, NodeId};
     use std::sync::Arc;
@@ -141,6 +285,96 @@ mod tests {
         DrtpManager::new(Arc::new(
             topology::mesh(rows, cols, Bandwidth::from_mbps(10)).unwrap(),
         ))
+    }
+
+    fn assert_same_flood(view: &ManagerView<'_>, req: &RouteRequest, params: FloodingParams) {
+        let got = flood(view, req, params);
+        let want = flood_reference(view, req, params);
+        let at = format!("{} -> {} at {params:?}", req.src, req.dst);
+        assert_eq!(got.candidates, want.candidates, "candidates of {at}");
+        assert_eq!(got.overhead, want.overhead, "overhead of {at}");
+        assert_eq!(got.truncated, want.truncated, "truncation of {at}");
+    }
+
+    #[test]
+    fn arena_flood_matches_reference_on_loaded_table1_network() {
+        use rand::SeedableRng;
+        // The Table-1 network: 60-node Waxman graph, E = 3, 100 Mb/s.
+        let net = drt_net::topology::WaxmanConfig::new(60, 3.0)
+            .capacity(Bandwidth::from_mbps(100))
+            .seed(60)
+            .build()
+            .unwrap();
+        let mut mgr = DrtpManager::new(Arc::new(net));
+        let mut dlsr = crate::routing::DLsr::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let params = [
+            FloodingParams::paper(),
+            FloodingParams {
+                max_messages: 10,
+                ..FloodingParams::paper()
+            },
+            FloodingParams {
+                max_candidates: 3,
+                ..FloodingParams::paper()
+            },
+            FloodingParams {
+                beta: 2,
+                ..FloodingParams::paper()
+            },
+        ];
+        let sample: Vec<u32> = (0..60).step_by(8).collect();
+        let mut next_id = 100;
+        for round in 0..4u32 {
+            for &s in &sample {
+                for &d in &sample {
+                    // A small request, and one too large for some
+                    // links' free pools (clearing the primary flag).
+                    for kbps in [3_000, 40_000] {
+                        let req = RouteRequest::new(
+                            ConnectionId::new(0),
+                            NodeId::new(s),
+                            NodeId::new(d),
+                            Bandwidth::from_kbps(kbps),
+                        );
+                        for p in params {
+                            assert_same_flood(&mgr.view(), &req, p);
+                        }
+                    }
+                }
+            }
+            // Load the network further with D-LSR admissions and fail one
+            // link, so later rounds see fuller links and detours.
+            for i in 0..60u32 {
+                let (s, d) = ((i * 13 + round * 7) % 60, (i * 29 + 5 + round) % 60);
+                if s != d {
+                    let req = RouteRequest::new(
+                        ConnectionId::new(next_id),
+                        NodeId::new(s),
+                        NodeId::new(d),
+                        Bandwidth::from_kbps(12_000),
+                    );
+                    next_id += 1;
+                    let _ = mgr.request_connection(&mut dlsr, req);
+                }
+            }
+            let link = drt_net::LinkId::new(round * 37);
+            mgr.inject_failure(link, &mut rng).unwrap();
+        }
+        mgr.assert_invariants();
+    }
+
+    #[test]
+    fn arena_flood_matches_reference_on_unreachable_destination() {
+        let mut b = drt_net::NetworkBuilder::with_nodes(4);
+        b.add_duplex_link(NodeId::new(0), NodeId::new(1), Bandwidth::from_mbps(1))
+            .unwrap();
+        b.add_duplex_link(NodeId::new(2), NodeId::new(3), Bandwidth::from_mbps(1))
+            .unwrap();
+        let mgr = DrtpManager::new(Arc::new(b.build()));
+        for (s, d) in [(0, 3), (0, 1), (2, 2)] {
+            assert_same_flood(&mgr.view(), &request(s, d), FloodingParams::paper());
+        }
     }
 
     #[test]

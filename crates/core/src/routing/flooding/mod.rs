@@ -117,10 +117,10 @@ impl BoundedFlooding {
                 c.route.links() != primary.links()
                     && existing.iter().all(|e| c.route.links() != e.links())
             })
-            .min_by_key(|c| {
+            .min_by_key(|&c| {
                 let overlap = c.route.overlap(primary)
                     + existing.iter().map(|e| c.route.overlap(e)).sum::<usize>();
-                (overlap, c.hops, c.route.links().to_vec())
+                (overlap, c.hops, c.route.links())
             })
             .map(|c| c.route.clone())
     }
@@ -141,7 +141,7 @@ impl RoutingScheme for BoundedFlooding {
             .candidates
             .iter()
             .filter(|c| c.primary_flag)
-            .min_by_key(|c| (c.hops, c.route.links().to_vec()))
+            .min_by_key(|&c| (c.hops, c.route.links()))
             .map(|c| c.route.clone())
             .ok_or(DrtpError::NoPrimaryRoute(req.src, req.dst))?;
         // A lone candidate means no backup exists inside the flooded

@@ -147,7 +147,23 @@ impl SpfWorkspace {
     /// Negative costs are treated as zero (Dijkstra's invariant requires
     /// non-negative costs; the routing schemes of the paper only produce
     /// non-negative ones).
-    pub fn run(&mut self, net: &Network, src: NodeId, mut cost: impl FnMut(LinkId) -> Option<f64>) {
+    pub fn run(&mut self, net: &Network, src: NodeId, cost: impl FnMut(LinkId) -> Option<f64>) {
+        self.search(net, src, None, cost);
+    }
+
+    /// The Dijkstra loop behind [`SpfWorkspace::run`] and
+    /// [`shortest_path_in`]. With a `target`, the loop stops as soon as the
+    /// target is popped and marked done: its distance and tree link are
+    /// final then, and so is every ancestor (each was settled before it),
+    /// so the route to the target is the one a full run yields. Nodes left
+    /// unsettled keep tentative state and must not be read.
+    fn search(
+        &mut self,
+        net: &Network,
+        src: NodeId,
+        target: Option<NodeId>,
+        mut cost: impl FnMut(LinkId) -> Option<f64>,
+    ) {
         let n = net.num_nodes();
         self.begin(n, src);
         if src.index() < n {
@@ -167,6 +183,9 @@ impl SpfWorkspace {
                 continue;
             }
             self.done[i] = true;
+            if target == Some(node) {
+                break;
+            }
             for &lid in net.out_links(node) {
                 let Some(step) = cost(lid) else { continue };
                 let step = step.max(0.0);
@@ -290,6 +309,11 @@ pub fn shortest_path_tree(
 /// Finds the cheapest route from `src` to `dst` under `cost`, returning
 /// `(total_cost, route)`, or `None` when unreachable or `src == dst`.
 ///
+/// The search stops once `dst` settles instead of growing the whole tree.
+/// The route is the one [`shortest_path_tree`] yields for `dst`: the
+/// nodes settle in the same order, and a node's tree link changes only on
+/// a strictly cheaper relaxation before it settles.
+///
 /// # Example
 ///
 /// ```
@@ -313,7 +337,9 @@ pub fn shortest_path(
 
 /// [`shortest_path`] into a caller-managed [`SpfWorkspace`] — the zero-
 /// allocation variant threaded through Yen spur searches and the disjoint-
-/// pair algorithms.
+/// pair algorithms. Like [`shortest_path`] it stops once `dst` settles, so
+/// afterwards the workspace answers for `dst` only; callers that read
+/// other nodes use [`SpfWorkspace::run`].
 pub fn shortest_path_in(
     ws: &mut SpfWorkspace,
     net: &Network,
@@ -321,7 +347,7 @@ pub fn shortest_path_in(
     dst: NodeId,
     cost: impl FnMut(LinkId) -> Option<f64>,
 ) -> Option<(f64, Route)> {
-    ws.run(net, src, cost);
+    ws.search(net, src, Some(dst), cost);
     let d = ws.distance(dst)?;
     let route = ws.route_to(net, dst)?;
     Some((d, route))
